@@ -294,16 +294,42 @@ def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
     return omega_coords(NcPoly(DWU, p.to_ncpoly().terms), params)
 
 
-def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
-    """Substitute omega = du - alpha*ud - gamma and reduce to PBW form."""
+@lru_cache(maxsize=256)
+def _omega_power(params: Params, j: int) -> NcPoly:
+    if j == 0:
+        return NcPoly.one(DU)
+    return reduce(_omega_power(params, j - 1) * omega_poly(params), downup_rules(params))
+
+
+def omega_power_nf(params: Params, j: int) -> NcPoly:
+    """PBW normal form of omega^j, normalised one factor at a time.
+
+    By the diamond lemma the order of reductions does not matter, so reducing
+    after every factor gives the normal form of the full product while each
+    step multiplies only the j + 1 terms of nf(omega^(j-1)).  Results are
+    memoised per (params, j) in a bounded cache and shared: never mutate one.
+    """
     _require_beta_zero(params)
-    substituted = omega_poly(params)
-    total = NcPoly.zero(DU)
+    # every 64th power first, so that a cold call never recurses deeper than 64
+    for k in range(64, j, 64):
+        _omega_power(params, k)
+    return _omega_power(params, j)
+
+
+def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
+    """Substitute omega = du - alpha*ud - gamma and reduce to PBW form.
+
+    u^i on the left and d^l on the right keep a PBW word normal, so each term
+    shifts the PBW coordinates of omega^j by (i, 0, l).
+    """
+    _require_beta_zero(params)
+    terms: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, l), coeff in q.terms.items():
-        term = NcPoly.monomial(DU, ("u",) * i, coeff) * (substituted**j)
-        term = term * NcPoly.monomial(DU, ("d",) * l)
-        total = total + term
-    return pbw_normal_form(total, params)
+        for word, c in omega_power_nf(params, j).terms.items():
+            a, b, k = _word_to_pbw_key(word)
+            key = (a + i, b, k + l)
+            terms[key] = terms.get(key, 0) + coeff * c
+    return PBWElem(terms)
 
 
 def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:

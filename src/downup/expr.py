@@ -75,7 +75,15 @@ YX = Alphabet(("y", "x"))
 
 
 class NcPoly:
-    """Sparse linear combination of words with exact rational coefficients."""
+    """Sparse linear combination of words with exact rational coefficients.
+
+    Two ways in.  The public constructor ``NcPoly(alphabet, terms)`` validates:
+    every word is checked against the alphabet, every coefficient goes through
+    `as_scalar`, and zeros are dropped.  ``NcPoly._trusted(alphabet, table)``
+    validates nothing and takes ownership of ``table``; it is only for results
+    of ring operations on valid polynomials, whose table is a fresh dict of
+    valid words to nonzero Fractions.  Both yield the same immutable value.
+    """
 
     __slots__ = ("alphabet", "terms")
 
@@ -89,6 +97,14 @@ class NcPoly:
                 table[word] = c
         self.alphabet = alphabet
         self.terms = table
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, table: dict[Word, Fraction]) -> "NcPoly":
+        """Wrap a fresh table of valid words to nonzero Fractions, unchecked."""
+        poly = object.__new__(cls)
+        poly.alphabet = alphabet
+        poly.terms = table
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -122,8 +138,9 @@ class NcPoly:
         self._require_same_alphabet(other)
         table = dict(self.terms)
         for word, coeff in other.terms.items():
-            table[word] = table.get(word, Fraction(0)) + coeff
-        return NcPoly(self.alphabet, table)
+            prev = table.get(word)
+            table[word] = coeff if prev is None else prev + coeff
+        return NcPoly._trusted(self.alphabet, {w: c for w, c in table.items() if c})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):
@@ -131,7 +148,7 @@ class NcPoly:
         return self + (-other)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
+        return NcPoly._trusted(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other: Union["NcPoly", Scalarlike]) -> "NcPoly":
         if not isinstance(other, NcPoly):
@@ -141,8 +158,9 @@ class NcPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 word = w1 + w2
-                table[word] = table.get(word, Fraction(0)) + c1 * c2
-        return NcPoly(self.alphabet, table)
+                prev = table.get(word)
+                table[word] = c1 * c2 if prev is None else prev + c1 * c2
+        return NcPoly._trusted(self.alphabet, {w: c for w, c in table.items() if c})
 
     def __rmul__(self, other: Scalarlike) -> "NcPoly":
         return self.scaled(other)
@@ -157,7 +175,8 @@ class NcPoly:
 
     def scaled(self, coeff: Scalarlike) -> "NcPoly":
         c = as_scalar(coeff)
-        return NcPoly(self.alphabet, {w: c * v for w, v in self.terms.items()})
+        table = {w: c * v for w, v in self.terms.items()} if c else {}
+        return NcPoly._trusted(self.alphabet, table)
 
     # -- structure ---------------------------------------------------------
 
@@ -219,21 +238,6 @@ def format_word(word: Word) -> str:
         parts.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
         i = j
     return "*".join(parts)
-
-
-# -- functional aliases for the operator forms ------------------------------
-
-
-def add(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p + q
-
-
-def mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p * q
-
-
-def scale(c: Scalarlike, p: NcPoly) -> NcPoly:
-    return p.scaled(c)
 
 
 # -- parsing -----------------------------------------------------------------

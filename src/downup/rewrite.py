@@ -80,7 +80,7 @@ class RuleSet:
 
 def _rewrite_at(word: Word, pos: int, rule: RewriteRule) -> NcPoly:
     prefix, suffix = word[:pos], word[pos + len(rule.lhs) :]
-    return NcPoly(
+    return NcPoly._trusted(
         rule.rhs.alphabet,
         {prefix + w + suffix: c for w, c in rule.rhs.terms.items()},
     )
@@ -101,7 +101,9 @@ def reduce(p: NcPoly, rs: RuleSet) -> NcPoly:
             continue  # stale heap entry
         redex = rs.find_redex(word)
         if redex is None:
-            result[word] = result.get(word, Fraction(0)) + coeff
+            # words leave the heap in decreasing order and rewriting only
+            # yields smaller ones, so a normal word is met at most once
+            result[word] = coeff
             continue
         pos, rule = redex
         replaced = _rewrite_at(word, pos, rule)
@@ -116,7 +118,7 @@ def reduce(p: NcPoly, rs: RuleSet) -> NcPoly:
                     work[w2] = total
                 else:
                     del work[w2]
-    return NcPoly(rs.alphabet, result)
+    return NcPoly._trusted(rs.alphabet, result)
 
 
 def reduce_random(p: NcPoly, rs: RuleSet, rng) -> NcPoly:

@@ -16,6 +16,7 @@ from downup.algebra import (
     ideal_power_membership,
     omega_coords,
     omega_poly,
+    omega_power_nf,
     omega_to_pbw,
     pbw_normal_form,
     pbw_to_omega,
@@ -87,12 +88,62 @@ def test_omega_to_pbw_of_omega_itself():
     assert omega_to_pbw(OmegaElem({}), Params(2, 0, 5)) == PBWElem({})
 
 
+ORACLE_PARAMS = (Params(1, 0, 0), Params(Fraction(-3, 2), 0, Fraction(5, 4)), Params(2, 0, 1))
+
+
+def test_omega_to_pbw_matches_the_full_expansion():
+    # Oracle: expand u^i * omega^j * d^l completely, then reduce once.
+    for params in ORACLE_PARAMS:
+        w = omega_poly(params)
+        mixed = {}
+        expanded = NcPoly.zero(DU)
+        for j in range(7):
+            power = w**j
+            for i in range(3):
+                for l in range(3):
+                    full = NcPoly.monomial(DU, ("u",) * i) * power
+                    full = full * NcPoly.monomial(DU, ("d",) * l)
+                    expected = pbw_normal_form(full, params)
+                    got = omega_to_pbw(OmegaElem({(i, j, l): 1}), params)
+                    assert got == expected, (params, i, j, l)
+                    coeff = Fraction(i - j + 1, l + 1)
+                    mixed[(i, j, l)] = coeff
+                    expanded = expanded + full.scaled(coeff)
+        # several terms, some landing on the same PBW coordinates, at once
+        assert omega_to_pbw(OmegaElem(mixed), params) == pbw_normal_form(expanded, params)
+
+
+def test_cached_omega_powers_are_never_mutated():
+    params = Params(Fraction(-1, 2), 0, 3)
+    cached = omega_power_nf(params, 5)
+    snapshot = dict(cached.terms)
+    element = OmegaElem({(0, 5, 0): 1, (2, 5, 1): Fraction(-7, 3), (1, 6, 0): 2})
+    first = omega_to_pbw(element, params)
+    for _ in range(3):
+        assert omega_to_pbw(element, params) == first
+        assert pbw_to_omega(first, params) == element
+    assert omega_power_nf(params, 5) is cached
+    assert cached.terms == snapshot
+    assert len(cached.terms) == 5 + 2
+
+
+def test_a_large_omega_power_has_linearly_many_terms():
+    # The full expansion of omega^40 has 3^40 words; factor by factor it is cheap.
+    params = Params(2, 0, 1)
+    top = omega_to_pbw(OmegaElem({(0, 40, 0): 1}), params)
+    assert len(top.terms) == 42
+    # associativity from the other side: omega * nf(omega^39)
+    assert pbw_normal_form(omega_poly(params) * omega_power_nf(params, 39), params) == top
+
+
 def test_omega_machinery_requires_beta_zero():
     bad = Params(1, 2, 3)
     with pytest.raises(DomainError):
         pbw_to_omega(PBWElem({(0, 1, 0): 1}), bad)
     with pytest.raises(DomainError):
         omega_to_pbw(OmegaElem({(0, 1, 0): 1}), bad)
+    with pytest.raises(DomainError):
+        omega_power_nf(bad, 2)
     with pytest.raises(DomainError):
         ideal_power_membership(parse("d*u", DU), 1, bad)
     with pytest.raises(DomainError):

@@ -45,6 +45,14 @@ def test_omega_forward_and_inverse(capsys):
     assert out == "d*u - 2*u*d - 1\n"
 
 
+def test_omega_inversion_of_a_large_power(capsys):
+    # omega^40 expands to 3^40 words; the inversion normalises one factor at a time
+    code, out, _ = run_cli(capsys, "omega", "--params", "2,0,1", "--invert", "ω^40")
+    assert code == 0
+    assert out.startswith("d*u*d*u")
+    assert out.count(" + ") + out.count(" - ") == 41
+
+
 def test_member_and_bimod(capsys):
     code, out, _ = run_cli(capsys, "member", "--params", "2,0,1", "--power", "2", "ω^2")
     assert (code, out) == (0, "true\n")

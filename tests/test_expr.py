@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downup.errors import DomainError, ParseError, UnknownLetterError
-from downup.expr import DU, DWU, OMEGA, Alphabet, NcPoly, add, format_word, mul, parse, scale
+from downup.expr import DU, DWU, OMEGA, Alphabet, NcPoly, format_word, parse
 
 D = NcPoly.letter(DU, "d")
 U = NcPoly.letter(DU, "u")
@@ -50,18 +52,18 @@ def test_parse_omega_alias():
 
 
 def test_mul_trivial():
-    assert mul(D, U).terms == {("d", "u"): Fraction(1)}
+    assert (D * U).terms == {("d", "u"): Fraction(1)}
 
 
 def test_additive_inverse_cancels():
-    du = mul(D, U)
-    assert add(du, scale(-1, du)).terms == {}
-    assert not add(du, scale(-1, du))
+    du = D * U
+    assert (du + du.scaled(-1)).terms == {}
+    assert not (du + du.scaled(-1))
 
 
 def test_mul_difference_of_letters():
     # (d+u)(d-u) expanded by hand: dd - du + ud - uu
-    p = mul(D + U, D - U)
+    p = (D + U) * (D - U)
     assert p.terms == {
         ("d", "d"): Fraction(1),
         ("d", "u"): Fraction(-1),
@@ -79,7 +81,7 @@ def test_power():
 def test_alphabet_mismatch():
     x = NcPoly.letter(Alphabet(("y", "x")), "x")
     with pytest.raises(DomainError, match="alphabet mismatch"):
-        add(D, x)
+        D + x
 
 
 def _random_poly(rng, alphabet, max_terms=4, max_len=4):
@@ -134,3 +136,47 @@ def test_word_order_precedence():
     assert DU.word_key(("d", "d", "u")) > DU.word_key(("d", "u", "d"))
     assert DU.word_key(("d", "u", "d")) > DU.word_key(("u", "d", "d"))
     assert DU.word_key(("u", "u", "u", "u")) > DU.word_key(("d", "d", "d"))
+
+
+# -- the trusted constructor keeps the canonical-table invariant ---------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def polys(alphabet, max_len=3, max_terms=5):
+    words = st.lists(st.sampled_from(alphabet.letters), max_size=max_len).map(tuple)
+    return st.dictionaries(words, COEFFS, max_size=max_terms).map(
+        lambda table: NcPoly(alphabet, table)
+    )
+
+
+def assert_canonical(p, alphabet):
+    assert p.alphabet == alphabet
+    for word, coeff in p.terms.items():
+        assert type(word) is tuple and all(letter in alphabet for letter in word)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@PROPERTY
+@given(polys(DWU), polys(DWU), COEFFS)
+def test_ring_operations_store_only_nonzero_fractions(p, q, c):
+    results = (p + q, p - q, p * q, -p, p.scaled(c), p * c, c * p, (p - q) * (p + q))
+    for result in results:
+        assert_canonical(result, DWU)
+    assert not p - p
+    assert not p + (-p)
+    assert not p.scaled(0)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(DomainError):
+        NcPoly(DU, {("d", "w"): 1})
+    with pytest.raises(DomainError):
+        NcPoly.monomial(DU, ("x",))
+    with pytest.raises(DomainError):
+        NcPoly.letter(DU, OMEGA)
+    p = NcPoly(DU, {("d",): "3/4", ("u",): 0, ("u", "d"): "-2"})
+    assert p.terms == {("d",): Fraction(3, 4), ("u", "d"): Fraction(-2)}
+    assert_canonical(p, DU)

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from downup.algebra import Params, downup_rules, omega_rules
+from downup.algebra import Params, downup_rules, omega_rules, pbw_normal_form
 from downup.errors import DomainError
 from downup.expr import DU, DWU, YX, NcPoly, parse
 from downup.rewrite import RewriteRule, RuleSet, critical_pairs, reduce, reduce_random
@@ -144,3 +146,35 @@ def test_normal_words_are_exactly_the_pbw_shapes():
             if rs.find_redex(word) is None:
                 normal.add(word)
     assert normal == pbw_shapes
+
+
+# -- reduce builds its result through the trusted constructor ------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def du_polys(max_len=5, max_terms=4):
+    words = st.lists(st.sampled_from(DU.letters), max_size=max_len).map(tuple)
+    return st.dictionaries(words, SMALL, max_size=max_terms).map(lambda t: NcPoly(DU, t))
+
+
+@PROPERTY
+@given(du_polys(), du_polys(), SMALL, SMALL, SMALL)
+def test_reduce_stores_only_nonzero_fractions_and_respects_products(a, b, alpha, beta, gamma):
+    params = Params(alpha, beta, gamma)
+    rules = downup_rules(params)
+    na, nb = reduce(a, rules), reduce(b, rules)
+    for normal in (na, nb, reduce(a * b, rules), reduce(a - a, rules)):
+        assert normal.alphabet == DU
+        for word, coeff in normal.terms.items():
+            assert type(word) is tuple and set(word) <= {"d", "u"}
+            assert type(coeff) is Fraction and coeff != 0
+            assert rules.find_redex(word) is None
+    assert not reduce(a - a, rules)
+    assert pbw_normal_form(a * b, params) == pbw_normal_form(na * nb, params)
+    # elements of the ideal reduce to zero, through cancellations along the way
+    for rule in rules.rules:
+        relation = NcPoly.monomial(DU, rule.lhs) - rule.rhs
+        assert reduce(a * relation * b, rules).terms == {}
