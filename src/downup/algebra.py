@@ -69,7 +69,7 @@ def geometric_sum(alpha: Scalarlike, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def downup_rules(params: Params) -> RuleSet:
     """Defining relations oriented along deglex with d > u."""
     a, b, g = params.alpha, params.beta, params.gamma
@@ -88,7 +88,7 @@ def downup_rules(params: Params) -> RuleSet:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def omega_rules(params: Params) -> RuleSet:
     """Rules over d > omega > u whose normal words are u^i omega^j d^l."""
     _require_beta_zero(params)
@@ -288,32 +288,92 @@ def omega_coords(p: NcPoly, params: Params) -> OmegaElem:
     return OmegaElem(terms)
 
 
-def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
-    """Rewrite a PBW element in the omega basis (beta = 0 only)."""
-    _require_beta_zero(params)
-    return omega_coords(NcPoly(DWU, p.to_ncpoly().terms), params)
+def _times_omega(p: NcPoly, params: Params) -> NcPoly:
+    """PBW normal form of p * omega."""
+    return reduce(p * omega_poly(params), downup_rules(params))
+
+
+def _times_du(p: NcPoly, params: Params) -> NcPoly:
+    """Omega-basis normal form of p * du, for p in omega-basis normal form.
+
+    From du = omega + alpha*ud + gamma and d*omega = 0, induction on n gives
+
+        d^n u = alpha^(n-1) omega d^(n-1) + alpha^n u d^n + gamma*[n] d^(n-1)
+
+    with [n] = 1 + alpha + ... + alpha^(n-1), so u^i omega^b d^(n-1) * du is
+    three normal words, the middle one dropped by omega*u = 0 when b > 0.
+    Rewriting p * du with `omega_rules` gives the same result but costs n
+    rewrites of a word of length up to 2j per term of nf((du)^(j-1)).
+    """
+    keys = [(_word_to_omega_key(word), coeff) for word, coeff in p.terms.items()]
+    top = max((c for (_, _, c), _ in keys), default=0) + 1
+    powers = [Fraction(1)]  # alpha^n
+    brackets = [Fraction(0)]  # gamma*[n]
+    for _ in range(top):
+        brackets.append(brackets[-1] + params.gamma * powers[-1])
+        powers.append(powers[-1] * params.alpha)
+    terms: dict[tuple[int, int, int], Fraction] = {}
+    for (i, b, c), coeff in keys:
+        images = [((i, b + 1, c), powers[c]), ((i, b, c), brackets[c + 1])]
+        if b == 0:
+            images.append(((i + 1, 0, c + 1), powers[c + 1]))
+        for key, value in images:
+            terms[key] = terms.get(key, 0) + coeff * value
+    return OmegaElem(terms).to_ncpoly()
+
+
+# base -> (its alphabet, the one-factor step in that base's normal form)
+_POWER_BASES = {"omega": (DU, _times_omega), "du": (DWU, _times_du)}
 
 
 @lru_cache(maxsize=256)
-def _omega_power(params: Params, j: int) -> NcPoly:
+def _power(params: Params, base: str, j: int) -> NcPoly:
+    alphabet, times_base = _POWER_BASES[base]
     if j == 0:
-        return NcPoly.one(DU)
-    return reduce(_omega_power(params, j - 1) * omega_poly(params), downup_rules(params))
+        return NcPoly.one(alphabet)
+    return times_base(_power(params, base, j - 1), params)
 
 
-def omega_power_nf(params: Params, j: int) -> NcPoly:
-    """PBW normal form of omega^j, normalised one factor at a time.
+def _power_nf(params: Params, base: str, j: int) -> NcPoly:
+    """Normal form of base^j, normalised one factor at a time.
 
-    By the diamond lemma the order of reductions does not matter, so reducing
-    after every factor gives the normal form of the full product while each
-    step multiplies only the j + 1 terms of nf(omega^(j-1)).  Results are
-    memoised per (params, j) in a bounded cache and shared: never mutate one.
+    By the diamond lemma the order of reductions does not matter, so
+    normalising after every factor gives the normal form of the full product
+    while each step multiplies only the terms of nf(base^(j-1)).  Results are
+    memoised per (params, base, j) in a bounded cache and shared: never
+    mutate one.
     """
     _require_beta_zero(params)
     # every 64th power first, so that a cold call never recurses deeper than 64
     for k in range(64, j, 64):
-        _omega_power(params, k)
-    return _omega_power(params, j)
+        _power(params, base, k)
+    return _power(params, base, j)
+
+
+def omega_power_nf(params: Params, j: int) -> NcPoly:
+    """PBW normal form of omega^j, memoised as in `_power_nf`."""
+    return _power_nf(params, "omega", j)
+
+
+def _shifted_powers(terms, params: Params, base: str, word_key) -> dict:
+    """Sum of coeff * u^i nf(base^j) d^k over the (i, j, k) terms, as keys."""
+    _require_beta_zero(params)
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j, k), coeff in terms.items():
+        for word, c in _power_nf(params, base, j).terms.items():
+            a, b, l = word_key(word)
+            key = (a + i, b, l + k)
+            out[key] = out.get(key, 0) + coeff * c
+    return out
+
+
+def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
+    """Rewrite a PBW element in the omega basis (beta = 0 only).
+
+    u^i on the left and d^k on the right keep an omega-basis word normal, so
+    each term shifts the omega-basis coordinates of (du)^j by (i, 0, k).
+    """
+    return OmegaElem(_shifted_powers(p.terms, params, "du", _word_to_omega_key))
 
 
 def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
@@ -322,14 +382,7 @@ def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
     u^i on the left and d^l on the right keep a PBW word normal, so each term
     shifts the PBW coordinates of omega^j by (i, 0, l).
     """
-    _require_beta_zero(params)
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, l), coeff in q.terms.items():
-        for word, c in omega_power_nf(params, j).terms.items():
-            a, b, k = _word_to_pbw_key(word)
-            key = (a + i, b, k + l)
-            terms[key] = terms.get(key, 0) + coeff * c
-    return PBWElem(terms)
+    return PBWElem(_shifted_powers(q.terms, params, "omega", _word_to_pbw_key))
 
 
 def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:

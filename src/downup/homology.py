@@ -364,12 +364,24 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
 
 
 def tor1_bound(params: Params, samples: int) -> int:
-    """Largest Tor_1 dimension over all ordered pairs of enumerated modules."""
+    """Largest Tor_1 dimension over all ordered pairs of enumerated modules.
+
+    Tor_1 = 2 - rank f0 - rank f1.  For distinct modules t1 != t2 the
+    collapsed first differential f0 = (delta2 - delta1, mu2 - mu1) is
+    nonzero, so rank f0 = 1 and Tor_1 = 1 - rank f1 <= 1: only a diagonal
+    pair (t, t) can reach 2.  So the diagonal decides the maximum whenever it
+    reaches 1, and otherwise the off-diagonal pairs are scanned until one
+    reaches 1.  The result is the maximum over all ordered pairs.
+    """
     if params.beta != 0:
         raise DomainError("tor1_bound requires beta = 0")
     modules = enumerate_one_dim(params, samples)
-    best = 0
-    for t1 in modules:
-        for t2 in modules:
-            best = max(best, tor_profile(t1, t2, params).dims[1])
-    return best
+    best = max(tor_profile(t, t, params).dims[1] for t in modules)
+    if best:
+        return best
+    return int(any(
+        tor_profile(t1, t2, params).dims[1]
+        for t1 in modules
+        for t2 in modules
+        if t1 != t2
+    ))

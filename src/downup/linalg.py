@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -19,15 +19,13 @@ def rank(rows: Sequence[Sequence]) -> int:
     matrix: list[list[int]] = []
     ncols = None
     for row in rows:
-        exact = [Fraction(entry) for entry in row]
+        exact = [entry if isinstance(entry, Fraction) else Fraction(entry) for entry in row]
         if ncols is None:
             ncols = len(exact)
         elif len(exact) != ncols:
             raise DomainError("ragged matrix")
-        scale = 1
-        for value in exact:
-            scale = scale * value.denominator // gcd(scale, value.denominator)
-        matrix.append([int(value * scale) for value in exact])
+        scale = lcm(*(value.denominator for value in exact))
+        matrix.append([value.numerator * (scale // value.denominator) for value in exact])
     if not matrix or ncols == 0:
         return 0
     r = 0

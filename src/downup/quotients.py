@@ -76,7 +76,7 @@ class QElem:
         return f"QElem({self.terms!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def q_rules(qa: QuantumAlgebra) -> RuleSet:
     return RuleSet(
         YX,
@@ -173,19 +173,6 @@ def c_scale(p: CPoly, coeff: Scalarlike) -> CPoly:
 
 def c_sub(p: CPoly, q: CPoly) -> CPoly:
     return c_add(p, c_scale(q, -1))
-
-
-def c_mul(p: CPoly, q: CPoly) -> CPoly:
-    out: CPoly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mon = tuple(a + b for a, b in zip(m1, m2))
-            total = out.get(mon, Fraction(0)) + c1 * c2
-            if total:
-                out[mon] = total
-            else:
-                del out[mon]
-    return out
 
 
 def c_str(p: CPoly, variables: tuple[str, ...]) -> str:

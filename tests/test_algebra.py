@@ -12,17 +12,20 @@ from downup.algebra import (
     PBWElem,
     bimod_action_formula,
     bimod_class,
+    downup_rules,
     geometric_sum,
     ideal_power_membership,
     omega_coords,
     omega_poly,
     omega_power_nf,
+    omega_rules,
     omega_to_pbw,
     pbw_normal_form,
     pbw_to_omega,
 )
 from downup.errors import DomainError
 from downup.expr import DU, DWU, OMEGA, NcPoly, parse
+from downup.quotients import QuantumAlgebra, q_rules
 
 
 def random_beta_zero_params(rng, alpha_not_one=False):
@@ -136,10 +139,48 @@ def test_a_large_omega_power_has_linearly_many_terms():
     assert pbw_normal_form(omega_poly(params) * omega_power_nf(params, 39), params) == top
 
 
+def test_pbw_to_omega_matches_the_word_reduction():
+    # oracle: reduce the word u^i (du)^j d^k with the omega rules
+    for params in (Params(2, 0, 1), Params(Fraction(-1, 2), 0, 3), Params(3, 0, 0),
+                   Params(1, 0, 0), Params(1, 0, 2)):
+        for j in range(7):
+            for i in range(3):
+                for k in range(3):
+                    element = PBWElem({(i, j, k): 1})
+                    word = NcPoly(DWU, element.to_ncpoly().terms)
+                    assert pbw_to_omega(element, params) == omega_coords(word, params), (
+                        params, i, j, k)
+
+
+def test_a_large_du_power_in_the_omega_basis():
+    params = Params(2, 0, 1)
+    element = PBWElem({(0, 40, 0): 1})
+    coords = pbw_to_omega(element, params)
+    assert len(coords.terms) == 41 * 42 // 2
+    assert omega_to_pbw(coords, params) == element
+
+
+def test_rule_caches_are_bounded():
+    builders = [
+        (downup_rules, lambda n: Params(n, Fraction(1, n + 1), 2)),
+        (omega_rules, lambda n: Params(Fraction(n, 7), 0, -n)),
+        (q_rules, lambda n: QuantumAlgebra(n + 1, 1)),
+    ]
+    for cached, fresh_key in builders:
+        for n in range(300):
+            cached(fresh_key(n))
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize
+        for n in (0, 150, 299):
+            assert cached(fresh_key(n)).rules == cached.__wrapped__(fresh_key(n)).rules
+
+
 def test_omega_machinery_requires_beta_zero():
     bad = Params(1, 2, 3)
     with pytest.raises(DomainError):
         pbw_to_omega(PBWElem({(0, 1, 0): 1}), bad)
+    with pytest.raises(DomainError):
+        pbw_to_omega(PBWElem({}), bad)
     with pytest.raises(DomainError):
         omega_to_pbw(OmegaElem({(0, 1, 0): 1}), bad)
     with pytest.raises(DomainError):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from downup.algebra import Params
 from downup.errors import DomainError
@@ -182,6 +184,56 @@ def test_tor1_bound_by_regime():
     assert tor1_bound(Params(1, 0, 0), 20) == 2
     with pytest.raises(DomainError):
         tor1_bound(Params(2, 1, 1), 10)
+
+
+GRID = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
+        Fraction(-2)]
+
+
+def test_tor1_bound_equals_the_all_pairs_maximum():
+    for alpha in GRID:
+        for gamma in GRID:
+            p = Params(alpha, 0, gamma)
+            tor1 = {}
+            for samples in (1, 2, 3, 7, 40):
+                modules = enumerate_one_dim(p, samples)
+                for t1 in modules:
+                    for t2 in modules:
+                        if (t1, t2) not in tor1:
+                            tor1[t1, t2] = tor_profile(t1, t2, p).dims[1]
+                brute = max(tor1[t1, t2] for t1 in modules for t2 in modules)
+                assert tor1_bound(p, samples) == brute, (p, samples)
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def module_pairs(draw):
+    """A beta = 0 triple and two valid modules, drawn from its module variety."""
+    alpha = draw(st.one_of(st.just(Fraction(1)), RATIONALS))
+    gamma = draw(st.one_of(st.just(Fraction(0)), RATIONALS))
+    p = Params(alpha, 0, gamma)
+    s = 1 - alpha
+
+    def module():
+        delta, mu = draw(RATIONALS), draw(RATIONALS)
+        if s == 0:
+            return OneDimModule(delta, mu) if gamma == 0 else OneDimModule(0, 0)
+        if gamma == 0:
+            return OneDimModule(delta, 0) if draw(st.booleans()) else OneDimModule(0, mu)
+        return OneDimModule(delta, gamma / (s * delta)) if delta else OneDimModule(0, 0)
+
+    return p, module(), module()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(module_pairs())
+def test_distinct_modules_never_have_tor1_above_one(case):
+    p, t1, t2 = case
+    assert t1.satisfies(p) and t2.satisfies(p)
+    assume(t1 != t2)
+    assert tor_profile(t1, t2, p).dims[1] <= 1
 
 
 def test_module_parsing():

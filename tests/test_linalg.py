@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downup.errors import DomainError
 from downup.linalg import rank
@@ -41,6 +44,8 @@ def test_rank_of_simple_matrices():
 def test_rank_rejects_ragged_input():
     with pytest.raises(DomainError):
         rank([[1, 2], [1]])
+    with pytest.raises(DomainError):
+        rank([["1/2", Fraction(3)], ["1/3"]])
 
 
 def test_rank_of_vandermonde_blocks():
@@ -64,3 +69,32 @@ def test_rank_matches_plain_elimination_on_random_matrices():
             rows[-1] = [a + b for a, b in zip(rows[0], rows[m // 2])]
         assert rank(rows) == gauss_rank(rows)
         assert rank(list(map(list, zip(*rows)))) == gauss_rank(rows)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.just(0),
+)
+
+
+@st.composite
+def matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # a dependent row, so deficient ranks are common
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        rows[-1] = [c * Fraction(a) + Fraction(b) for a, b in zip(rows[0], rows[m // 2])]
+    return rows
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_agrees_with_sympy(rows):
+    expected = sympy.Matrix([[sympy.Rational(str(entry)) for entry in row] for row in rows]).rank()
+    assert rank(rows) == expected
+    assert rank(list(map(list, zip(*rows)))) == expected
