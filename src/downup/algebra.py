@@ -288,13 +288,15 @@ def omega_coords(p: NcPoly, params: Params) -> OmegaElem:
     return OmegaElem(terms)
 
 
-def _times_omega(p: NcPoly, params: Params) -> NcPoly:
-    """PBW normal form of p * omega."""
-    return reduce(p * omega_poly(params), downup_rules(params))
+def _next_omega_power(prev: NcPoly | None, params: Params) -> NcPoly:
+    """nf(omega^(j+1)) in PBW form from prev = nf(omega^j); 1 when prev is None."""
+    if prev is None:
+        return NcPoly.one(DU)
+    return reduce(prev * omega_poly(params), downup_rules(params))
 
 
-def _times_du(p: NcPoly, params: Params) -> NcPoly:
-    """Omega-basis normal form of p * du, for p in omega-basis normal form.
+def _next_du_power(prev: dict | None, params: Params) -> dict:
+    """Omega-basis coordinates of (du)^(j+1) from those of (du)^j; 1 when prev is None.
 
     From du = omega + alpha*ud + gamma and d*omega = 0, induction on n gives
 
@@ -302,66 +304,63 @@ def _times_du(p: NcPoly, params: Params) -> NcPoly:
 
     with [n] = 1 + alpha + ... + alpha^(n-1), so u^i omega^b d^(n-1) * du is
     three normal words, the middle one dropped by omega*u = 0 when b > 0.
-    Rewriting p * du with `omega_rules` gives the same result but costs n
-    rewrites of a word of length up to 2j per term of nf((du)^(j-1)).
+    Rewriting with `omega_rules` gives the same result but costs n rewrites
+    of a word of length up to 2j per term of nf((du)^j).
     """
-    keys = [(_word_to_omega_key(word), coeff) for word, coeff in p.terms.items()]
-    top = max((c for (_, _, c), _ in keys), default=0) + 1
+    if prev is None:
+        return {(0, 0, 0): Fraction(1)}
+    top = max((c for _, _, c in prev), default=0) + 1
     powers = [Fraction(1)]  # alpha^n
     brackets = [Fraction(0)]  # gamma*[n]
     for _ in range(top):
         brackets.append(brackets[-1] + params.gamma * powers[-1])
         powers.append(powers[-1] * params.alpha)
     terms: dict[tuple[int, int, int], Fraction] = {}
-    for (i, b, c), coeff in keys:
+    for (i, b, c), coeff in prev.items():
         images = [((i, b + 1, c), powers[c]), ((i, b, c), brackets[c + 1])]
         if b == 0:
             images.append(((i + 1, 0, c + 1), powers[c + 1]))
         for key, value in images:
             terms[key] = terms.get(key, 0) + coeff * value
-    return OmegaElem(terms).to_ncpoly()
-
-
-# base -> (its alphabet, the one-factor step in that base's normal form)
-_POWER_BASES = {"omega": (DU, _times_omega), "du": (DWU, _times_du)}
+    return {key: value for key, value in terms.items() if value}
 
 
 @lru_cache(maxsize=256)
-def _power(params: Params, base: str, j: int) -> NcPoly:
-    alphabet, times_base = _POWER_BASES[base]
-    if j == 0:
-        return NcPoly.one(alphabet)
-    return times_base(_power(params, base, j - 1), params)
+def _power(params: Params, next_power, j: int):
+    prev = _power(params, next_power, j - 1) if j else None
+    return next_power(prev, params)
 
 
-def _power_nf(params: Params, base: str, j: int) -> NcPoly:
-    """Normal form of base^j, normalised one factor at a time.
+def _power_nf(params: Params, next_power, j: int):
+    """Normal form of base^j, built by `next_power` one factor at a time.
 
     By the diamond lemma the order of reductions does not matter, so
     normalising after every factor gives the normal form of the full product
     while each step multiplies only the terms of nf(base^(j-1)).  Results are
-    memoised per (params, base, j) in a bounded cache and shared: never
+    memoised per (params, next_power, j) in a bounded cache and shared: never
     mutate one.
     """
     _require_beta_zero(params)
     # every 64th power first, so that a cold call never recurses deeper than 64
     for k in range(64, j, 64):
-        _power(params, base, k)
-    return _power(params, base, j)
+        _power(params, next_power, k)
+    return _power(params, next_power, j)
 
 
 def omega_power_nf(params: Params, j: int) -> NcPoly:
     """PBW normal form of omega^j, memoised as in `_power_nf`."""
-    return _power_nf(params, "omega", j)
+    return _power_nf(params, _next_omega_power, j)
 
 
-def _shifted_powers(terms, params: Params, base: str, word_key) -> dict:
-    """Sum of coeff * u^i nf(base^j) d^k over the (i, j, k) terms, as keys."""
-    _require_beta_zero(params)
+def _shifted_powers(terms, power_coords) -> dict:
+    """Sum of coeff * u^i base^j d^k over the (i, j, k) terms, as coordinates.
+
+    power_coords(j) yields the coordinates of nf(base^j); u^i on the left and
+    d^k on the right keep a normal word normal, so they shift by (i, 0, k).
+    """
     out: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, k), coeff in terms.items():
-        for word, c in _power_nf(params, base, j).terms.items():
-            a, b, l = word_key(word)
+        for (a, b, l), c in power_coords(j):
             key = (a + i, b, l + k)
             out[key] = out.get(key, 0) + coeff * c
     return out
@@ -370,19 +369,23 @@ def _shifted_powers(terms, params: Params, base: str, word_key) -> dict:
 def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
     """Rewrite a PBW element in the omega basis (beta = 0 only).
 
-    u^i on the left and d^k on the right keep an omega-basis word normal, so
-    each term shifts the omega-basis coordinates of (du)^j by (i, 0, k).
+    Each term shifts the memoised omega-basis coordinates of (du)^j.
     """
-    return OmegaElem(_shifted_powers(p.terms, params, "du", _word_to_omega_key))
+    _require_beta_zero(params)
+    return OmegaElem(_shifted_powers(
+        p.terms, lambda j: _power_nf(params, _next_du_power, j).items()
+    ))
 
 
 def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
     """Substitute omega = du - alpha*ud - gamma and reduce to PBW form.
 
-    u^i on the left and d^l on the right keep a PBW word normal, so each term
-    shifts the PBW coordinates of omega^j by (i, 0, l).
+    Each term shifts the PBW coordinates of the memoised nf(omega^j).
     """
-    return PBWElem(_shifted_powers(q.terms, params, "omega", _word_to_pbw_key))
+    _require_beta_zero(params)
+    return PBWElem(_shifted_powers(q.terms, lambda j: (
+        (_word_to_pbw_key(word), c) for word, c in omega_power_nf(params, j).terms.items()
+    )))
 
 
 def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:

@@ -366,22 +366,19 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
 def tor1_bound(params: Params, samples: int) -> int:
     """Largest Tor_1 dimension over all ordered pairs of enumerated modules.
 
-    Tor_1 = 2 - rank f0 - rank f1.  For distinct modules t1 != t2 the
-    collapsed first differential f0 = (delta2 - delta1, mu2 - mu1) is
-    nonzero, so rank f0 = 1 and Tor_1 = 1 - rank f1 <= 1: only a diagonal
-    pair (t, t) can reach 2.  So the diagonal decides the maximum whenever it
-    reaches 1, and otherwise the off-diagonal pairs are scanned until one
-    reaches 1.  The result is the maximum over all ordered pairs.
+    Tor_1 = 2 - rank f0 - rank f1, and the diagonal pairs (t, t) decide its
+    maximum.  For distinct modules t1 != t2 the collapsed first differential
+    f0 = (delta2 - delta1, mu2 - mu1) is nonzero, so Tor_1 = 1 - rank f1 <= 1.
+    On the diagonal f0 = 0 and, with s = 1 - alpha,
+
+        f1(t, t) = [[2s*delta*mu - gamma, s*mu^2], [s*delta^2, 2s*delta*mu - gamma]]
+
+    has determinant (s*delta*mu - gamma)(3s*delta*mu - gamma).  A valid
+    module other than (0, 0) has s*delta*mu = gamma, so rank f1 <= 1 and its
+    diagonal Tor_1 is at least 1.  The diagonal maximum is therefore 0 only
+    when the trivial module is the only one enumerated, and then there are no
+    off-diagonal pairs: the diagonal maximum is the maximum over all pairs.
     """
     if params.beta != 0:
         raise DomainError("tor1_bound requires beta = 0")
-    modules = enumerate_one_dim(params, samples)
-    best = max(tor_profile(t, t, params).dims[1] for t in modules)
-    if best:
-        return best
-    return int(any(
-        tor_profile(t1, t2, params).dims[1]
-        for t1 in modules
-        for t2 in modules
-        if t1 != t2
-    ))
+    return max(tor_profile(t, t, params).dims[1] for t in enumerate_one_dim(params, samples))

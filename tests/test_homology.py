@@ -236,6 +236,14 @@ def test_distinct_modules_never_have_tor1_above_one(case):
     assert tor_profile(t1, t2, p).dims[1] <= 1
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(module_pairs())
+def test_nontrivial_modules_have_tor1_at_least_one_with_themselves(case):
+    p, t, _ = case
+    assume(t != OneDimModule(0, 0))
+    assert tor_profile(t, t, p).dims[1] >= 1
+
+
 def test_module_parsing():
     assert OneDimModule.parse("1,-1") == OneDimModule(1, -1)
     assert OneDimModule.parse(" 2/3 , 0 ") == OneDimModule(Fraction(2, 3), 0)
