@@ -9,10 +9,12 @@ provenance} with sorted keys.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     Params,
@@ -37,6 +39,19 @@ from .quotients import (
     quantum_weyl,
 )
 from .verify import run_all
+
+
+class _Outcome(NamedTuple):
+    """What a subcommand prints: plain text or a JSON result, and its exit code."""
+
+    text: str
+    result: object
+    provenance: str
+    exit_code: int = 0
+
+
+class _UsageError(Exception):
+    """A usage error found after parsing; ``main`` reports it as argparse does."""
 
 
 def _scalar(text: str) -> Fraction:
@@ -72,7 +87,7 @@ def _invariant_text(invariants: dict) -> str:
 def _run_nf(args):
     params = Params.parse(args.params)
     result = str(pbw_normal_form(parse(args.expr, DU), params))
-    return result, result, "pbw normal form by deglex rewriting"
+    return _Outcome(result, result, "pbw normal form by deglex rewriting")
 
 
 def _run_omega(args):
@@ -80,75 +95,76 @@ def _run_omega(args):
     element = omega_coords(parse(args.expr, DWU), params)
     if args.invert:
         result = str(omega_to_pbw(element, params))
-        return result, result, "omega basis inversion"
+        return _Outcome(result, result, "omega basis inversion")
     result = str(element)
-    return result, result, "omega basis conversion"
+    return _Outcome(result, result, "omega basis conversion")
 
 
 def _run_member(args):
     params = Params.parse(args.params)
     inside = ideal_power_membership(parse(args.expr, DWU), args.power, params)
-    return _bool_text(inside), inside, "omega ideal power membership"
+    return _Outcome(_bool_text(inside), inside, "omega ideal power membership")
 
 
-def _run_bimod(args, parser):
+def _run_bimod(args):
     params = Params.parse(args.params)
     if args.formula is not None:
         if args.expr is not None:
-            parser.error("pass either an expression or --formula, not both")
+            raise _UsageError("pass either an expression or --formula, not both")
         fields = [piece.strip() for piece in args.formula.split(",")]
         if len(fields) != 3 or fields[2] not in ("left", "right"):
-            parser.error(f"--formula wants I,L,left|right, got {args.formula!r}")
+            raise _UsageError(f"--formula wants I,L,left|right, got {args.formula!r}")
         try:
             i, l = int(fields[0]), int(fields[1])
         except ValueError:
-            parser.error(f"--formula indices must be integers, got {args.formula!r}")
+            message = f"--formula indices must be integers, got {args.formula!r}"
+            raise _UsageError(message) from None
         result = str(bimod_action_formula(i, l, fields[2], params))
-        return result, result, "bimodule action formula"
+        return _Outcome(result, result, "bimodule action formula")
     if args.expr is None:
-        parser.error("bimod needs an expression or --formula")
+        raise _UsageError("bimod needs an expression or --formula")
     result = str(bimod_class(parse(args.expr, DWU), params))
-    return result, result, "omega bimodule class"
+    return _Outcome(result, result, "omega bimodule class")
 
 
 def _run_project(args):
     params = Params.parse(args.params)
     result = str(project(parse(args.expr, DU), params))
-    return result, result, "quantum quotient projection"
+    return _Outcome(result, result, "quantum quotient projection")
 
 
 def _run_qnf(args):
     algebra = quantum_weyl(_scalar(args.alpha)) if args.weyl else quantum_plane(_scalar(args.alpha))
     result = str(q_normal_form(parse(args.expr, YX), algebra))
-    return result, result, "quantum normal form"
+    return _Outcome(result, result, "quantum normal form")
 
 
 def _run_abel(args):
     pres = abelianization(Params.parse(args.params))
     invariants = abelian_invariants(pres)
     text = f"{pres}\n{_invariant_text(invariants)}"
-    return text, {"presentation": pres.to_json(), "invariants": invariants}, \
-        "abelianization case analysis"
+    return _Outcome(text, {"presentation": pres.to_json(), "invariants": invariants},
+                    "abelianization case analysis")
 
 
 def _run_tor(args):
     params = Params.parse(args.params)
     profile = tor_profile(OneDimModule.parse(args.t1), OneDimModule.parse(args.t2), params)
-    return str(profile), list(profile.dims), "tor profile from the collapsed resolution"
+    return _Outcome(str(profile), list(profile.dims), "tor profile from the collapsed resolution")
 
 
 def _run_torbound(args):
     bound = tor1_bound(Params.parse(args.params), args.samples)
-    return str(bound), bound, "sampled tor-one supremum"
+    return _Outcome(str(bound), bound, "sampled tor-one supremum")
 
 
 def _run_classify(args):
     if args.mode == "type":
         tag = str(type_of(Params.parse(args.params)))
-        return tag, tag, "type table"
+        return _Outcome(tag, tag, "type table")
     if args.mode == "monomial":
         flag = is_monomial(Params.parse(args.params))
-        return _bool_text(flag), flag, "monomiality criterion"
+        return _Outcome(_bool_text(flag), flag, "monomiality criterion")
     left, right = Params.parse(args.left), Params.parse(args.right)
     if args.mode == "iso":
         verdict = iso_verdict(left, right)
@@ -157,7 +173,7 @@ def _run_classify(args):
             "rule": verdict.rule,
             "detail": verdict.detail,
         }
-        return str(verdict), payload, verdict.rule
+        return _Outcome(str(verdict), payload, verdict.rule)
     report = invariant_report(left, right, args.samples)
     lines = [
         f"type: {report['left']['type']} vs {report['right']['type']}",
@@ -169,13 +185,13 @@ def _run_classify(args):
         "mismatches: " + (",".join(report["mismatches"]) or "none"),
         "certifies_non_isomorphism: " + _bool_text(report["certifies_non_isomorphism"]),
     ]
-    return "\n".join(lines), report, "separating invariant report"
+    return _Outcome("\n".join(lines), report, "separating invariant report")
 
 
 def _run_lambda(args):
     values = lambda_sequence(_scalar(args.alpha), args.terms)
     text = ",".join(str(value) for value in values)
-    return text, [str(value) for value in values], "witness scalar recursion"
+    return _Outcome(text, [str(value) for value in values], "witness scalar recursion")
 
 
 def _run_quiver_abel(args):
@@ -188,7 +204,7 @@ def _run_quiver_abel(args):
         except OSError as err:
             raise DomainError(f"cannot read quiver file: {err}") from None
     pres = monomial_abelianization(load_monomial_algebra(text))
-    return str(pres), {"presentation": pres.to_json()}, "vertexwise loop abelianization"
+    return _Outcome(str(pres), {"presentation": pres.to_json()}, "vertexwise loop abelianization")
 
 
 def _run_verify(args):
@@ -203,8 +219,7 @@ def _run_verify(args):
     lines.append(f"{len(results) - failed} passed, {failed} failed")
     total = sum(result.seconds for result in results)
     print(f"verify suite finished in {total:.2f}s", file=sys.stderr)
-    text = "\n".join(lines)
-    return text, payload, "acceptance property suite", failed == 0
+    return _Outcome("\n".join(lines), payload, "acceptance property suite", 1 if failed else 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +230,33 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d[\d/.,-]*$")
 
 
+# Runners look library functions up as module globals when they run, so a
+# rebound name (a tracer's span, a test's patch) is seen on the next call.
+_RUNNERS = {
+    "nf": _run_nf,
+    "omega": _run_omega,
+    "member": _run_member,
+    "bimod": _run_bimod,
+    "project": _run_project,
+    "qnf": _run_qnf,
+    "abel": _run_abel,
+    "tor": _run_tor,
+    "torbound": _run_torbound,
+    "classify": _run_classify,
+    "lambda": _run_lambda,
+    "quiver-abel": _run_quiver_abel,
+    "verify": _run_verify,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared read-only.
+
+    It depends on no input: ``parse_args`` returns a fresh namespace on every
+    call, and help and errors go to the ``sys.stdout``/``sys.stderr`` in
+    effect at call time, so reusing it changes no output.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json",
@@ -310,35 +351,10 @@ def _inputs_of(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    exit_code = 0
     try:
-        if args.command == "nf":
-            text, result, provenance = _run_nf(args)
-        elif args.command == "omega":
-            text, result, provenance = _run_omega(args)
-        elif args.command == "member":
-            text, result, provenance = _run_member(args)
-        elif args.command == "bimod":
-            text, result, provenance = _run_bimod(args, parser)
-        elif args.command == "project":
-            text, result, provenance = _run_project(args)
-        elif args.command == "qnf":
-            text, result, provenance = _run_qnf(args)
-        elif args.command == "abel":
-            text, result, provenance = _run_abel(args)
-        elif args.command == "tor":
-            text, result, provenance = _run_tor(args)
-        elif args.command == "torbound":
-            text, result, provenance = _run_torbound(args)
-        elif args.command == "classify":
-            text, result, provenance = _run_classify(args)
-        elif args.command == "lambda":
-            text, result, provenance = _run_lambda(args)
-        elif args.command == "quiver-abel":
-            text, result, provenance = _run_quiver_abel(args)
-        else:
-            text, result, provenance, clean = _run_verify(args)
-            exit_code = 0 if clean else 1
+        outcome = _RUNNERS[args.command](args)
+    except _UsageError as err:
+        parser.error(str(err))
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -346,13 +362,13 @@ def main(argv=None) -> int:
         envelope = {
             "subcommand": args.command if args.command != "classify" else f"classify {args.mode}",
             "inputs": {key: _jsonable(value) for key, value in _inputs_of(args).items()},
-            "result": _jsonable(result),
-            "provenance": provenance,
+            "result": _jsonable(outcome.result),
+            "provenance": outcome.provenance,
         }
         print(json.dumps(envelope, sort_keys=True))
     else:
-        print(text)
-    return exit_code
+        print(outcome.text)
+    return outcome.exit_code
 
 
 if __name__ == "__main__":
