@@ -12,7 +12,11 @@ from downup.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call, usage errors and help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -185,16 +189,6 @@ def test_quiver_abel_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert (code, out) == (0, "K[X_d,X_u]/(X_d^2*X_u, X_d*X_u^2)\n")
 
 
-def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of one call, usage errors and help included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exit_:
-        code = exit_.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 TOR = ["tor", "--params", "0,0,0", "--t1", "0,0", "--t2", "0,0"]
 MIXED = [
     ["nf", "--params", "2,0,1"],  # usage error
@@ -211,18 +205,18 @@ def test_the_parser_is_built_once():
 
 def test_the_cached_parser_keeps_no_state(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    forward = [outcome(capsys, argv) for argv in MIXED]
-    backward = [outcome(capsys, argv) for argv in reversed(MIXED)][::-1]
+    forward = [run_cli(capsys, *argv) for argv in MIXED]
+    backward = [run_cli(capsys, *argv) for argv in reversed(MIXED)][::-1]
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    fresh = [outcome(capsys, argv) for argv in MIXED]
+    fresh = [run_cli(capsys, *argv) for argv in MIXED]
     assert forward == backward == fresh
     assert [code for code, _, _ in fresh] == [2, 1, 0, 0, 0]
 
 
 def test_a_json_call_leaves_the_next_plain_call_plain(capsys):
     for flagged in (["--json"] + TOR, TOR[:1] + ["--json"] + TOR[1:]):
-        assert json.loads(outcome(capsys, flagged)[1])["result"] == [1, 2, 2, 1]
-        assert outcome(capsys, TOR) == (0, "1,2,2,1\n", "")
+        assert json.loads(run_cli(capsys, *flagged)[1])["result"] == [1, 2, 2, 1]
+        assert run_cli(capsys, *TOR) == (0, "1,2,2,1\n", "")
 
 
 def test_console_script_is_installed():
