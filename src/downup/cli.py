@@ -50,10 +50,6 @@ class _Outcome(NamedTuple):
     exit_code: int = 0
 
 
-class _UsageError(Exception):
-    """A usage error found after parsing; ``main`` reports it as argparse does."""
-
-
 def _scalar(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -110,19 +106,19 @@ def _run_bimod(args):
     params = Params.parse(args.params)
     if args.formula is not None:
         if args.expr is not None:
-            raise _UsageError("pass either an expression or --formula, not both")
+            build_parser().error("pass either an expression or --formula, not both")
         fields = [piece.strip() for piece in args.formula.split(",")]
         if len(fields) != 3 or fields[2] not in ("left", "right"):
-            raise _UsageError(f"--formula wants I,L,left|right, got {args.formula!r}")
+            build_parser().error(f"--formula wants I,L,left|right, got {args.formula!r}")
         try:
             i, l = int(fields[0]), int(fields[1])
         except ValueError:
             message = f"--formula indices must be integers, got {args.formula!r}"
-            raise _UsageError(message) from None
+            build_parser().error(message)
         result = str(bimod_action_formula(i, l, fields[2], params))
         return _Outcome(result, result, "bimodule action formula")
     if args.expr is None:
-        raise _UsageError("bimod needs an expression or --formula")
+        build_parser().error("bimod needs an expression or --formula")
     result = str(bimod_class(parse(args.expr, DWU), params))
     return _Outcome(result, result, "omega bimodule class")
 
@@ -255,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     It depends on no input: ``parse_args`` returns a fresh namespace on every
     call, and help and errors go to the ``sys.stdout``/``sys.stderr`` in
-    effect at call time, so reusing it changes no output.
+    effect at call time, so reusing it changes no output.  Only callers that
+    run ``main`` many times in one process gain: a ``downup`` process builds
+    the parser once either way.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -353,8 +351,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         outcome = _RUNNERS[args.command](args)
-    except _UsageError as err:
-        parser.error(str(err))
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
