@@ -1,7 +1,10 @@
 """Golden CLI outputs: exact stdout, stderr and exit code of fixed invocations.
 
 The cases are every README example except ``verify`` (criterion 9 runs it),
-each plain and with ``--json``; three help texts; and usage and domain errors.
+each plain and with ``--json``; three help texts; usage and domain errors; and
+rendering edge cases, each plain and with ``--json``: zero results, several
+bimodule classes under a negative leading coefficient, fractional magnitudes
+and constants, the quantum plane and a fractional abelianization relation.
 ``tests/golden/cli.json`` holds the recorded outputs.  After a deliberate
 output change, rewrite it with
 
@@ -46,6 +49,16 @@ README = (
     ["quiver-abel", QUIVER],
 )
 
+RENDERING = (
+    ["nf", "--params", "1,1,1", "d^2*u - d*u*d - u*d^2 - d"],  # a relation: 0
+    ["project", "--params", "2,0,1", "d*u - 2*u*d - 1"],  # omega maps to 0
+    ["bimod", "--params", "2,0,1", "ω*d - 3*u^2*ω*d + 1/2*ω - ω^2"],
+    ["nf", "--params", "1/2,-1/3,2", "u - 3/4*d^2*u + 5/2"],
+    ["omega", "--params", "1/2,0,-3", "2/3*d*u - 7/5"],
+    ["qnf", "--alpha", "-2/3", "x - y^2*x + 1/2"],
+    ["abel", "--params", "1/2,0,-3/2"],
+)
+
 CASES = (
     [argv for argv in README]
     + [["--json"] + argv for argv in README]
@@ -58,6 +71,8 @@ CASES = (
         ["nf", "--params", "2,0", "d*u"],  # domain error: two parameters
         ["--json", "nf", "--params", "2,0", "d*u"],
     ]
+    + [argv for argv in RENDERING]
+    + [["--json"] + argv for argv in RENDERING]
 )
 
 
