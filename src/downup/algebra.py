@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DomainError
-from .expr import DU, DWU, OMEGA, NcPoly, Scalarlike, Word, as_scalar, format_word
+from .expr import CLASSES, DU, DWU, OMEGA, OMEGA_BASIS, PBW, Coords, NcPoly, Scalarlike, as_scalar
 from .rewrite import RewriteRule, RuleSet, reduce
 
 
@@ -111,181 +111,26 @@ def omega_poly(params: Params) -> NcPoly:
     )
 
 
-def _clean_terms(terms, arity: int, kind: str) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, value in (terms or {}).items():
-        key = tuple(key)
-        if len(key) != arity or any((not isinstance(x, int)) or x < 0 for x in key):
-            raise DomainError(f"{kind} index {key!r} must be {arity} nonnegative integers")
-        coeff = as_scalar(value)
-        if coeff:
-            out[key] = out.get(key, Fraction(0)) + coeff
-            if not out[key]:
-                del out[key]
-    return out
+PBWElem = partial(Coords, PBW)  # keys (i, j, k) of u^i (du)^j d^k
+OmegaElem = partial(Coords, OMEGA_BASIS)  # keys (i, j, l) of u^i omega^j d^l
+BimodClass = partial(Coords, CLASSES)  # keys (i, l) of the classes [u^i omega d^l]
 
 
-class PBWElem:
-    """Coordinates over the basis u^i (du)^j d^k, indexed by (i, j, k)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _clean_terms(terms, 3, "PBW")
-
-    def to_ncpoly(self) -> NcPoly:
-        return NcPoly(
-            DU,
-            {
-                ("u",) * i + ("d", "u") * j + ("d",) * k: c
-                for (i, j, k), c in self.terms.items()
-            },
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PBWElem) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        return str(self.to_ncpoly())
-
-    def __repr__(self) -> str:
-        return f"PBWElem({self.terms!r})"
-
-
-class OmegaElem:
-    """Coordinates over the basis u^i omega^j d^l, indexed by (i, j, l)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _clean_terms(terms, 3, "omega-basis")
-
-    def to_ncpoly(self) -> NcPoly:
-        return NcPoly(
-            DWU,
-            {
-                ("u",) * i + (OMEGA,) * j + ("d",) * l: c
-                for (i, j, l), c in self.terms.items()
-            },
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OmegaElem) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        return str(self.to_ncpoly())
-
-    def __repr__(self) -> str:
-        return f"OmegaElem({self.terms!r})"
-
-
-def _class_word(key: tuple[int, int]) -> Word:
-    i, l = key
-    return ("u",) * i + (OMEGA,) + ("d",) * l
-
-
-class BimodClass:
-    """Class in the quotient of <omega> by its square, basis [u^i omega d^l]."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _clean_terms(terms, 2, "bimodule-class")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BimodClass) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(
-            self.terms.items(),
-            key=lambda kv: DWU.word_key(_class_word(kv[0])),
-            reverse=True,
-        )
-        chunks = []
-        for key, coeff in items:
-            body = f"[{format_word(_class_word(key))}]"
-            magnitude = abs(coeff)
-            piece = body if magnitude == 1 else f"{magnitude}*{body}"
-            chunks.append(("- " if coeff < 0 else "+ ") + piece)
-        head = chunks[0]
-        text = "-" + head[2:] if head.startswith("- ") else head[2:]
-        for chunk in chunks[1:]:
-            text += " " + chunk
-        return text
-
-    def __repr__(self) -> str:
-        return f"BimodClass({self.terms!r})"
-
-
-def _word_to_pbw_key(word: Word) -> tuple[int, int, int] | None:
-    n = len(word)
-    i = 0
-    while i < n and word[i] == "u":
-        i += 1
-    pos = i
-    j = 0
-    while pos + 1 < n and word[pos] == "d" and word[pos + 1] == "u":
-        j += 1
-        pos += 2
-    k = n - pos
-    if word[pos:] != ("d",) * k:
-        return None
-    return (i, j, k)
-
-
-def _word_to_omega_key(word: Word) -> tuple[int, int, int] | None:
-    n = len(word)
-    i = 0
-    while i < n and word[i] == "u":
-        i += 1
-    j = i
-    while j < n and word[j] == OMEGA:
-        j += 1
-    if word[j:] != ("d",) * (n - j):
-        return None
-    return (i, j - i, n - j)
-
-
-def pbw_normal_form(p: NcPoly, params: Params) -> PBWElem:
+def pbw_normal_form(p: NcPoly, params: Params) -> Coords:
     """Coordinates of p's class in A(alpha, beta, gamma) over u^i (du)^j d^k."""
     if p.alphabet != DU:
         raise DomainError("expected a polynomial over the letters d, u")
-    normal = reduce(p, downup_rules(params))
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for word, coeff in normal.terms.items():
-        key = _word_to_pbw_key(word)
-        if key is None:
-            raise DomainError(f"word {format_word(word)} escaped PBW normalization")
-        terms[key] = coeff
-    return PBWElem(terms)
+    return PBW.coords(reduce(p, downup_rules(params)))
 
 
-def omega_coords(p: NcPoly, params: Params) -> OmegaElem:
+def omega_coords(p: NcPoly, params: Params) -> Coords:
     """Coordinates over u^i omega^j d^l; accepts polynomials over {d,u} or {d,omega,u}."""
     _require_beta_zero(params)
     if p.alphabet == DU:
         p = NcPoly(DWU, p.terms)
     elif p.alphabet != DWU:
         raise DomainError("expected a polynomial over d, u or d, omega, u")
-    normal = reduce(p, omega_rules(params))
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for word, coeff in normal.terms.items():
-        key = _word_to_omega_key(word)
-        if key is None:
-            raise DomainError(f"word {format_word(word)} escaped omega normalization")
-        terms[key] = coeff
-    return OmegaElem(terms)
+    return OMEGA_BASIS.coords(reduce(p, omega_rules(params)))
 
 
 def _next_omega_power(prev: NcPoly | None, params: Params) -> NcPoly:
@@ -366,7 +211,7 @@ def _shifted_powers(terms, power_coords) -> dict:
     return out
 
 
-def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
+def pbw_to_omega(p: Coords, params: Params) -> Coords:
     """Rewrite a PBW element in the omega basis (beta = 0 only).
 
     Each term shifts the memoised omega-basis coordinates of (du)^j.
@@ -377,14 +222,14 @@ def pbw_to_omega(p: PBWElem, params: Params) -> OmegaElem:
     ))
 
 
-def omega_to_pbw(q: OmegaElem, params: Params) -> PBWElem:
+def omega_to_pbw(q: Coords, params: Params) -> Coords:
     """Substitute omega = du - alpha*ud - gamma and reduce to PBW form.
 
     Each term shifts the PBW coordinates of the memoised nf(omega^j).
     """
     _require_beta_zero(params)
     return PBWElem(_shifted_powers(q.terms, lambda j: (
-        (_word_to_pbw_key(word), c) for word, c in omega_power_nf(params, j).terms.items()
+        (PBW.key(word), c) for word, c in omega_power_nf(params, j).terms.items()
     )))
 
 
@@ -396,7 +241,7 @@ def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:
     return all(key[1] >= n for key in coords.terms)
 
 
-def bimod_class(p: NcPoly, params: Params) -> BimodClass:
+def bimod_class(p: NcPoly, params: Params) -> Coords:
     """Class of p in <omega>/<omega>^2; requires p to lie in <omega>."""
     coords = omega_coords(p, params)
     if any(key[1] == 0 for key in coords.terms):
@@ -406,7 +251,7 @@ def bimod_class(p: NcPoly, params: Params) -> BimodClass:
     )
 
 
-def bimod_action_formula(i: int, l: int, side: str, params: Params) -> BimodClass:
+def bimod_action_formula(i: int, l: int, side: str, params: Params) -> Coords:
     """Closed form for [u^i omega d^l]*u (right) and d*[u^i omega d^l] (left).
 
     The coefficient is gamma * (1 + alpha + ... + alpha^(m-1)) with m = l on

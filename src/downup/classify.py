@@ -90,7 +90,12 @@ def iso_verdict(p: Params, q: Params) -> IsoVerdict:
 
 
 def is_monomial(params: Params) -> bool:
-    """The relations reduce to plain words exactly for the zero triple."""
+    """Whether params == (0, 0, 0), the parameter test for monomiality.
+
+    The paper's second theorem shows that A(0, 0, 0) is the only monomial
+    down-up algebra; this function checks the parameters, it does not search
+    for a monomial presentation.
+    """
     return params.alpha == 0 and params.beta == 0 and params.gamma == 0
 
 

@@ -4,7 +4,9 @@ A word is a tuple of letters, a polynomial is a sparse table word -> Fraction
 with no zero entries.  Words are ordered degree-lexicographically: longer
 words are larger, ties are broken letter by letter using the precedence
 declared at alphabet creation (first letter listed is the largest).  All
-arithmetic is exact; values are immutable once built.
+arithmetic is exact; values are immutable once built.  A `Basis` names a set
+of normal words by exponent keys, and `Coords` holds an element's
+coordinates over one; `render_terms` prints both kinds of value.
 """
 
 from __future__ import annotations
@@ -203,26 +205,29 @@ class NcPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for word, coeff in self.sorted_terms():
-            body = format_word(word)
-            mag = abs(coeff)
-            if not word:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks)
+        return render_terms(
+            (format_word(word) if word else "", coeff) for word, coeff in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
+
+
+def render_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Join (body, nonzero coeff) pairs in the order given, as in `-3/2*d*u + u - 5`.
+
+    The one place that formats signs and magnitudes: a unit magnitude prints
+    the body alone, an empty body is a constant term, no terms print 0.
+    """
+    chunks: list[str] = []
+    for body, coeff in terms:
+        mag = abs(coeff)
+        text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+        if chunks:
+            chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        else:
+            chunks.append(text if coeff > 0 else f"-{text}")
+    return " ".join(chunks) if chunks else "0"
 
 
 def format_word(word: Word) -> str:
@@ -238,6 +243,116 @@ def format_word(word: Word) -> str:
         parts.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
         i = j
     return "*".join(parts)
+
+
+# -- coordinates over a basis of normal words -------------------------------
+
+
+def collect_terms(terms, arity: int | None, bad_key: str) -> dict[tuple[int, ...], Fraction]:
+    """Sum the coefficients of equal keys and drop zeros.
+
+    Keys must be tuples of nonnegative ints, of length `arity` unless it is
+    None; otherwise `bad_key`, formatted with the key, is the error message.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, value in (terms or {}).items():
+        key = tuple(key)
+        if (arity is not None and len(key) != arity) or any(
+            not isinstance(x, int) or x < 0 for x in key
+        ):
+            raise DomainError(bad_key.format(key=key))
+        out[key] = out.get(key, 0) + as_scalar(value)
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+class Basis:
+    """Normal words that are a fixed sequence of blocks, each a word to a power.
+
+    The PBW basis u^i (du)^j d^k has the blocks u, du and d, and the key of a
+    word is its exponent tuple (i, j, k).  A pinned block has a fixed
+    exponent that is not part of the key, like omega in the classes
+    [u^i omega d^l].  `wrap`, if given, formats each printed word, e.g. '[{}]'.
+    """
+
+    def __init__(self, name: str, alphabet: Alphabet, blocks, pinned=None, wrap=None):
+        pinned = pinned or {}
+        self.name = name
+        self.alphabet = alphabet
+        self.blocks = tuple((tuple(block), pinned.get(n)) for n, block in enumerate(blocks))
+        self.arity = len(self.blocks) - len(pinned)
+        self.wrap = wrap
+
+    def word(self, key: tuple[int, ...]) -> Word:
+        exponents = iter(key)
+        word: Word = ()
+        for block, pin in self.blocks:
+            word += block * (next(exponents) if pin is None else pin)
+        return word
+
+    def key(self, word: Word) -> tuple[int, ...] | None:
+        """Exponents read greedily block by block; None if the word is not normal."""
+        pos, key = 0, []
+        for block, pin in self.blocks:
+            size, count = len(block), 0
+            while word[pos : pos + size] == block:
+                pos += size
+                count += 1
+            if pin is None:
+                key.append(count)
+            elif count != pin:
+                return None
+        return tuple(key) if pos == len(word) else None
+
+    def coords(self, normal: NcPoly) -> "Coords":
+        """Coordinates of a reduced polynomial, all of whose words are normal."""
+        terms = {}
+        for word, coeff in normal.terms.items():
+            key = self.key(word)
+            if key is None:
+                raise DomainError(f"word {format_word(word)} escaped {self.name} normalization")
+            terms[key] = coeff
+        return Coords(self, terms)
+
+
+PBW = Basis("PBW", DU, (("u",), ("d", "u"), ("d",)))
+OMEGA_BASIS = Basis("omega-basis", DWU, (("u",), (OMEGA,), ("d",)))
+CLASSES = Basis("bimodule-class", DWU, (("u",), (OMEGA,), ("d",)), pinned={1: 1}, wrap="[{}]")
+QUANTUM = Basis("quantum-basis", YX, (("x",), ("y",)))
+
+
+class Coords:
+    """Immutable coordinates over a basis: a table key -> nonzero Fraction.
+
+    Values over different bases are never equal, even with equal keys.
+    """
+
+    __slots__ = ("basis", "terms")
+
+    def __init__(self, basis: Basis, terms=None):
+        self.basis = basis
+        self.terms = collect_terms(
+            terms, basis.arity,
+            f"{basis.name} index {{key!r}} must be {basis.arity} nonnegative integers",
+        )
+
+    def to_ncpoly(self) -> NcPoly:
+        words = {self.basis.word(key): coeff for key, coeff in self.terms.items()}
+        return NcPoly._trusted(self.basis.alphabet, words)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Coords) and (self.basis, self.terms) == (other.basis, other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __str__(self) -> str:
+        poly, wrap = self.to_ncpoly(), self.basis.wrap
+        if wrap is None:
+            return str(poly)
+        return render_terms((wrap.format(format_word(w)), c) for w, c in poly.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"Coords({self.basis.name}, {self.terms!r})"
 
 
 # -- parsing -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import Params, pbw_normal_form
 from .errors import DomainError
-from .expr import DU, NcPoly, Word, as_scalar
+from .expr import DU, PBW, NcPoly, Word, as_scalar
 from .linalg import rank
 
 STAGE_TAGS = {
@@ -103,9 +103,9 @@ class BimoduleElement:
             left_nf = pbw_normal_form(left, params)
             right_nf = pbw_normal_form(right, params)
             for lkey, lc in left_nf.terms.items():
-                lword = _pbw_word(lkey)
+                lword = PBW.word(lkey)
                 for rkey, rc in right_nf.terms.items():
-                    key = (lword, tag, _pbw_word(rkey))
+                    key = (lword, tag, PBW.word(rkey))
                     total = terms.get(key, Fraction(0)) + coeff * lc * rc
                     if total:
                         terms[key] = total
@@ -143,11 +143,6 @@ class BimoduleElement:
 
     def __repr__(self) -> str:
         return f"BimoduleElement({self.stage}, {self.terms!r})"
-
-
-def _pbw_word(key: tuple[int, int, int]) -> Word:
-    i, j, k = key
-    return ("u",) * i + ("d", "u") * j + ("d",) * k
 
 
 def _require_stage(x: BimoduleElement, stage: int) -> None:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import Params, _clean_terms
+from .algebra import Params
 from .errors import DomainError
-from .expr import DU, YX, NcPoly, Scalarlike, as_scalar
+from .expr import (
+    DU, QUANTUM, YX, Coords, NcPoly, Scalarlike, as_scalar, collect_terms, render_terms,
+)
 from .linalg import rank
 from .rewrite import RewriteRule, RuleSet, reduce
 
@@ -50,30 +52,7 @@ def quantum_weyl(alpha: Scalarlike) -> QuantumAlgebra:
     return QuantumAlgebra(as_scalar(alpha), Fraction(1))
 
 
-class QElem:
-    """Coordinates over the basis x^i y^l, indexed by (i, l)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _clean_terms(terms, 2, "quantum-basis")
-
-    def to_ncpoly(self) -> NcPoly:
-        return NcPoly(
-            YX, {("x",) * i + ("y",) * l: c for (i, l), c in self.terms.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QElem) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        return str(self.to_ncpoly())
-
-    def __repr__(self) -> str:
-        return f"QElem({self.terms!r})"
+QElem = partial(Coords, QUANTUM)  # keys (i, l) of x^i y^l
 
 
 @lru_cache(maxsize=256)
@@ -88,27 +67,14 @@ def q_rules(qa: QuantumAlgebra) -> RuleSet:
     )
 
 
-def q_normal_form(p: NcPoly, qa: QuantumAlgebra) -> QElem:
+def q_normal_form(p: NcPoly, qa: QuantumAlgebra) -> Coords:
     """Move all x's left of all y's via yx -> alpha*xy + constant."""
     if p.alphabet != YX:
         raise DomainError("expected a polynomial over the letters x, y")
-    normal = reduce(p, q_rules(qa))
-    terms: dict[tuple[int, int], Fraction] = {}
-    for word, coeff in normal.terms.items():
-        i = 0
-        while i < len(word) and word[i] == "x":
-            i += 1
-        if word[i:] != ("y",) * (len(word) - i):
-            raise DomainError("word escaped quantum normalization")
-        terms[(i, len(word) - i)] = coeff
-    return QElem(terms)
+    return QUANTUM.coords(reduce(p, q_rules(qa)))
 
 
-def q_mul(a: QElem, b: QElem, qa: QuantumAlgebra) -> QElem:
-    return q_normal_form(a.to_ncpoly() * b.to_ncpoly(), qa)
-
-
-def project(p: NcPoly, params: Params) -> QElem:
+def project(p: NcPoly, params: Params) -> Coords:
     """Image of p under A -> A/<omega>, sending d to y and u to x.
 
     Supported for beta = 0, alpha != 0 and gamma in {0, 1}; other gamma
@@ -140,17 +106,7 @@ def c_key(mon: Monomial):
 
 
 def c_clean(p) -> CPoly:
-    out: CPoly = {}
-    for mon, value in (p or {}).items():
-        mon = tuple(mon)
-        if any((not isinstance(e, int)) or e < 0 for e in mon):
-            raise DomainError(f"bad exponent vector {mon!r}")
-        coeff = as_scalar(value)
-        if coeff:
-            out[mon] = out.get(mon, Fraction(0)) + coeff
-            if not out[mon]:
-                del out[mon]
-    return out
+    return collect_terms(p, None, "bad exponent vector {key!r}")
 
 
 def c_add(p: CPoly, q: CPoly) -> CPoly:
@@ -176,48 +132,11 @@ def c_sub(p: CPoly, q: CPoly) -> CPoly:
 
 
 def c_str(p: CPoly, variables: tuple[str, ...]) -> str:
-    if not p:
-        return "0"
-    chunks = []
-    for mon, coeff in sorted(p.items(), key=lambda kv: c_key(kv[0]), reverse=True):
-        factors = []
-        for name, exponent in zip(variables, mon):
-            if exponent == 1:
-                factors.append(name)
-            elif exponent > 1:
-                factors.append(f"{name}^{exponent}")
-        magnitude = abs(coeff)
-        if not factors:
-            piece = str(magnitude)
-        elif magnitude == 1:
-            piece = "*".join(factors)
-        else:
-            piece = str(magnitude) + "*" + "*".join(factors)
-        chunks.append(("- " if coeff < 0 else "+ ") + piece)
-    head = chunks[0]
-    text = "-" + head[2:] if head.startswith("- ") else head[2:]
-    for chunk in chunks[1:]:
-        text += " " + chunk
-    return text
-
-
-def commutative_image(p: NcPoly, variables: tuple[str, ...]) -> CPoly:
-    """Abelianize: send each word to the product of its letters as commuting variables."""
-    index = {name: pos for pos, name in enumerate(variables)}
-    if set(p.alphabet.letters) - set(variables):
-        raise DomainError("polynomial uses letters outside the variable list")
-    out: CPoly = {}
-    for word, coeff in p.terms.items():
-        mon = [0] * len(variables)
-        for letter in word:
-            mon[index[letter]] += 1
-        key = tuple(mon)
-        total = out.get(key, Fraction(0)) + coeff
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return out
+    ordered = sorted(p.items(), key=lambda kv: c_key(kv[0]), reverse=True)
+    return render_terms(
+        ("*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(variables, mon) if e), c)
+        for mon, c in ordered
+    )
 
 
 def _divides(lhs: Monomial, mon: Monomial) -> bool:

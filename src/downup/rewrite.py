@@ -1,9 +1,9 @@
 """Oriented string rewriting over a fixed deglex order.
 
 Rules replace a word by a strictly smaller polynomial, so reduction always
-terminates.  The deterministic strategy rewrites the leftmost occurrence of
-the largest matching left-hand side inside the largest reducible word; a
-randomized strategy is provided as a confluence diagnostic only.
+terminates.  The strategy rewrites the leftmost occurrence of the largest
+matching left-hand side inside the largest reducible word; critical-pair
+residuals check confluence.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class RuleSet:
                     return pos, rule
         return None
 
-    def all_redexes(self, word: Word) -> list[tuple[int, RewriteRule]]:
-        out = []
-        for pos in range(len(word)):
-            for rule in self._rules_desc:
-                k = len(rule.lhs)
-                if word[pos : pos + k] == rule.lhs:
-                    out.append((pos, rule))
-        return out
-
 
 def _rewrite_at(word: Word, pos: int, rule: RewriteRule) -> NcPoly:
     prefix, suffix = word[:pos], word[pos + len(rule.lhs) :]
@@ -119,24 +110,6 @@ def reduce(p: NcPoly, rs: RuleSet) -> NcPoly:
                 else:
                     del work[w2]
     return NcPoly._trusted(rs.alphabet, result)
-
-
-def reduce_random(p: NcPoly, rs: RuleSet, rng) -> NcPoly:
-    """Normal form via uniformly random redex choices (diagnostic only)."""
-    if p.alphabet != rs.alphabet:
-        raise DomainError("polynomial alphabet differs from rule-set alphabet")
-    current = p
-    while True:
-        choices = []
-        for word in current.terms:
-            for pos, rule in rs.all_redexes(word):
-                choices.append((word, pos, rule))
-        if not choices:
-            return current
-        word, pos, rule = rng.choice(choices)
-        coeff = current.terms[word]
-        step = NcPoly(rs.alphabet, {word: coeff})
-        current = current - step + _rewrite_at(word, pos, rule).scaled(coeff)
 
 
 def critical_pairs(rs: RuleSet, max_degree: int) -> list[tuple[Word, NcPoly]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from downup.algebra import BimodClass, OmegaElem, PBWElem
 from downup.errors import DomainError, ParseError, UnknownLetterError
-from downup.expr import DU, DWU, OMEGA, Alphabet, NcPoly, format_word, parse
+from downup.expr import (
+    CLASSES, DU, DWU, OMEGA, OMEGA_BASIS, PBW, QUANTUM, Alphabet, NcPoly, format_word, parse,
+)
+from downup.quotients import QElem
 
 D = NcPoly.letter(DU, "d")
 U = NcPoly.letter(DU, "u")
@@ -180,3 +185,21 @@ def test_public_constructor_still_validates():
     p = NcPoly(DU, {("d",): "3/4", ("u",): 0, ("u", "d"): "-2"})
     assert p.terms == {("d",): Fraction(3, 4), ("u", "d"): Fraction(-2)}
     assert_canonical(p, DU)
+
+
+def test_basis_keys_round_trip_and_bases_never_compare_equal():
+    non_normal = (
+        (PBW, [("d", "u", "u"), ("d", "d", "u"), ("u", "d", "u", "u")]),
+        (OMEGA_BASIS, [(OMEGA, "u"), ("d", OMEGA), ("d", "u")]),
+        (CLASSES, [(OMEGA, "u"), ("u", "d"), (OMEGA, OMEGA)]),
+        (QUANTUM, [("y", "x"), ("x", "y", "x")]),
+    )
+    for basis, words in non_normal:
+        for key in itertools.product(range(4), repeat=basis.arity):
+            assert basis.key(basis.word(key)) == key
+        for word in words:
+            assert basis.key(word) is None, (basis.name, word)
+    assert PBW.word((1, 2, 1)) == ("u", "d", "u", "d", "u", "d")
+    assert CLASSES.word((2, 0)) == ("u", "u", OMEGA)
+    assert PBWElem({(0, 0, 0): 1}) != OmegaElem({(0, 0, 0): 1})
+    assert QElem({(1, 1): 1}) != BimodClass({(1, 1): 1})

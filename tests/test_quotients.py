@@ -16,14 +16,12 @@ from downup.quotients import (
     abelian_invariants,
     abelianization,
     c_str,
-    commutative_image,
     commutative_overlap_residuals,
     monomials_up_to,
     orient_relations,
     presentation_filtered_dim,
     presentation_kills,
     project,
-    q_mul,
     q_normal_form,
     quantum_plane,
     quantum_weyl,
@@ -32,6 +30,29 @@ from downup.quotients import (
     summand_filtered_dim,
     summand_graded_dim,
 )
+
+
+def q_mul(a, b, qa):
+    return q_normal_form(a.to_ncpoly() * b.to_ncpoly(), qa)
+
+
+def commutative_image(p, variables):
+    """Abelianize: send each word to the product of its letters as commuting variables."""
+    index = {name: pos for pos, name in enumerate(variables)}
+    if set(p.alphabet.letters) - set(variables):
+        raise DomainError("polynomial uses letters outside the variable list")
+    out = {}
+    for word, coeff in p.terms.items():
+        mon = [0] * len(variables)
+        for letter in word:
+            mon[index[letter]] += 1
+        key = tuple(mon)
+        total = out.get(key, Fraction(0)) + coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
 
 
 def random_du_poly(rng, max_degree, n_terms):

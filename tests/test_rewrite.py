@@ -11,7 +11,35 @@ from hypothesis import strategies as st
 from downup.algebra import Params, downup_rules, omega_rules, pbw_normal_form
 from downup.errors import DomainError
 from downup.expr import DU, DWU, YX, NcPoly, parse
-from downup.rewrite import RewriteRule, RuleSet, critical_pairs, reduce, reduce_random
+from downup.rewrite import RewriteRule, RuleSet, _rewrite_at, critical_pairs, reduce
+
+
+def all_redexes(rs, word):
+    out = []
+    for pos in range(len(word)):
+        for rule in rs._rules_desc:
+            k = len(rule.lhs)
+            if word[pos : pos + k] == rule.lhs:
+                out.append((pos, rule))
+    return out
+
+
+def reduce_random(p, rs, rng):
+    """Normal form via uniformly random redex choices: a confluence diagnostic."""
+    if p.alphabet != rs.alphabet:
+        raise DomainError("polynomial alphabet differs from rule-set alphabet")
+    current = p
+    while True:
+        choices = []
+        for word in current.terms:
+            for pos, rule in all_redexes(rs, word):
+                choices.append((word, pos, rule))
+        if not choices:
+            return current
+        word, pos, rule = rng.choice(choices)
+        coeff = current.terms[word]
+        step = NcPoly(rs.alphabet, {word: coeff})
+        current = current - step + _rewrite_at(word, pos, rule).scaled(coeff)
 
 
 def quantum_rules(alpha):
