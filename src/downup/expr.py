@@ -281,6 +281,7 @@ class Basis:
         self.blocks = tuple((tuple(block), pinned.get(n)) for n, block in enumerate(blocks))
         self.arity = len(self.blocks) - len(pinned)
         self.wrap = wrap
+        self.bad_key = f"{name} index {{key!r}} must be {self.arity} nonnegative integers"
 
     def word(self, key: tuple[int, ...]) -> Word:
         exponents = iter(key)
@@ -330,10 +331,7 @@ class Coords:
 
     def __init__(self, basis: Basis, terms=None):
         self.basis = basis
-        self.terms = collect_terms(
-            terms, basis.arity,
-            f"{basis.name} index {{key!r}} must be {basis.arity} nonnegative integers",
-        )
+        self.terms = collect_terms(terms, basis.arity, basis.bad_key)
 
     def to_ncpoly(self) -> NcPoly:
         words = {self.basis.word(key): coeff for key, coeff in self.terms.items()}
