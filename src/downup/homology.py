@@ -7,6 +7,13 @@ T1 (x)_A (-) (x)_A T2 for one-dimensional modules T_i = (delta_i, mu_i)
 collapses the resolution to a complex 0 -> K -> K^2 -> K^2 -> K -> 0 whose
 homology dimensions form the Tor profile.
 
+Each differential is written once, as the generator images in
+`_generator_image`; `apply_d1/2/3` extend them bilinearly for any parameters,
+and `tor_matrices` collapses those images mechanically, for any beta.  That
+is the reference.  `tor_profile` evaluates the hand-derived
+`closed_form_matrices` instead: stated for beta = 0 only, they cost a few
+multiplications where the reference normalizes every leg of every image.
+
 Convention: in the collapsed complex the left tensor legs are evaluated with
 T2's scalars and the right legs with T1's.  This is the assignment under
 which the collapsed first differential is (delta2 - delta1, mu2 - mu1) and
@@ -23,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import Params, pbw_normal_form
 from .errors import DomainError
-from .expr import DU, PBW, NcPoly, Word, as_scalar
+from .expr import DU, PBW, NcPoly, Word, as_scalar, format_word, render_terms
 from .linalg import rank
 
 STAGE_TAGS = {
@@ -94,14 +101,14 @@ class BimoduleElement:
 
     @classmethod
     def build(cls, stage: int, parts, params: Params) -> "BimoduleElement":
-        """Assemble from (coeff, left NcPoly, tag, right NcPoly) with normalization."""
+        """Assemble from (coeff, left word, tag, right word), normalizing both words."""
         terms: dict[tuple[Word, str, Word], Fraction] = {}
         for coeff, left, tag, right in parts:
             coeff = as_scalar(coeff)
             if not coeff:
                 continue
-            left_nf = pbw_normal_form(left, params)
-            right_nf = pbw_normal_form(right, params)
+            left_nf = pbw_normal_form(NcPoly.monomial(DU, left), params)
+            right_nf = pbw_normal_form(NcPoly.monomial(DU, right), params)
             for lkey, lc in left_nf.terms.items():
                 lword = PBW.word(lkey)
                 for rkey, rc in right_nf.terms.items():
@@ -128,105 +135,68 @@ class BimoduleElement:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        from .expr import format_word
-
-        rendered = []
-        for (left, tag, right), coeff in sorted(
+        ordered = sorted(
             self.terms.items(), key=lambda kv: (DU.word_key(kv[0][0]), kv[0][1], DU.word_key(kv[0][2]))
-        ):
-            lstr = format_word(left) if left else "1"
-            rstr = format_word(right) if right else "1"
-            rendered.append(f"{coeff}*{lstr}(x){_TAG_NAMES[tag]}(x){rstr}")
-        return " + ".join(rendered)
+        )
+        return render_terms(
+            (f"{format_word(left)}(x){_TAG_NAMES[tag]}(x){format_word(right)}", coeff)
+            for (left, tag, right), coeff in ordered
+        )
 
     def __repr__(self) -> str:
         return f"BimoduleElement({self.stage}, {self.terms!r})"
 
 
-def _require_stage(x: BimoduleElement, stage: int) -> None:
-    if x.stage != stage:
-        raise DomainError(f"expected a stage-{stage} element, got stage {x.stage}")
+def _generator_image(stage: int, tag: str, params: Params) -> list:
+    """Image of the generator 1 (x) tag (x) 1 under the stage's differential.
 
-
-def _shifted_parts(x: BimoduleElement, generator_parts) -> list:
-    """Bilinear extension: l (x) m (x) r maps through the generator image of m."""
-    parts = []
-    for (lword, tag, rword), coeff in x.terms.items():
-        left = NcPoly.monomial(DU, lword)
-        right = NcPoly.monomial(DU, rword)
-        for pc, pleft, ptag, pright in generator_parts(tag):
-            parts.append(
-                (
-                    coeff * pc,
-                    left * NcPoly.monomial(DU, pleft),
-                    ptag,
-                    NcPoly.monomial(DU, pright) * right,
-                )
-            )
-    return parts
-
-
-def apply_d1(x: BimoduleElement, params: Params) -> BimoduleElement:
-    """First differential: 1 (x) v (x) 1 maps to v (x) 1 - 1 (x) v."""
-    _require_stage(x, 1)
-
-    def gen(tag: str):
-        return [(1, (tag,), "", ()), (-1, (), "", (tag,))]
-
-    return BimoduleElement.build(0, _shifted_parts(x, gen), params)
-
-
-def apply_d2(x: BimoduleElement, params: Params) -> BimoduleElement:
-    """Second differential, one summand per letter of each defining relation."""
-    _require_stage(x, 2)
+    Returns (coeff, left word, tag one stage down, right word) parts.  d1 sends
+    v to v (x) 1 - 1 (x) v.  d2 has one summand per letter of each defining
+    relation: a word l*v*r of the relation with coefficient c gives c l (x) v (x) r.
+    d3 sends d^2u^2 to d (x) du^2 + beta du^2 (x) d - d^2u (x) u - beta u (x) d^2u.
+    """
     a, b, g = params.alpha, params.beta, params.gamma
-
-    def gen(tag: str):
-        if tag == "d2u":
-            return [
-                (1, (), "d", ("d", "u")),
-                (1, ("d",), "d", ("u",)),
-                (1, ("d", "d"), "u", ()),
-                (-a, (), "d", ("u", "d")),
-                (-a, ("d",), "u", ("d",)),
-                (-a, ("d", "u"), "d", ()),
-                (-b, (), "u", ("d", "d")),
-                (-b, ("u",), "d", ("d",)),
-                (-b, ("u", "d"), "d", ()),
-                (-g, (), "d", ()),
-            ]
-        return [
-            (1, (), "d", ("u", "u")),
-            (1, ("d",), "u", ("u",)),
-            (1, ("d", "u"), "u", ()),
-            (-a, (), "u", ("d", "u")),
-            (-a, ("u",), "d", ("u",)),
-            (-a, ("u", "d"), "u", ()),
-            (-b, (), "u", ("u", "d")),
-            (-b, ("u",), "u", ("d",)),
-            (-b, ("u", "u"), "d", ()),
-            (-g, (), "u", ()),
-        ]
-
-    return BimoduleElement.build(1, _shifted_parts(x, gen), params)
-
-
-def apply_d3(x: BimoduleElement, params: Params) -> BimoduleElement:
-    """Third differential on the rank-one top stage."""
-    _require_stage(x, 3)
-    b = params.beta
-
-    def gen(tag: str):
+    if stage == 1:
+        return [(1, (tag,), "", ()), (-1, (), "", (tag,))]
+    if stage == 3:
         return [
             (1, ("d",), "du2", ()),
             (b, (), "du2", ("d",)),
             (-1, (), "d2u", ("u",)),
             (-b, ("u",), "d2u", ()),
         ]
+    if tag == "d2u":
+        relation = {("d", "d", "u"): 1, ("d", "u", "d"): -a, ("u", "d", "d"): -b, ("d",): -g}
+    else:
+        relation = {("d", "u", "u"): 1, ("u", "d", "u"): -a, ("u", "u", "d"): -b, ("u",): -g}
+    return [(c, w[:i], w[i], w[i + 1 :]) for w, c in relation.items() for i in range(len(w))]
 
-    return BimoduleElement.build(2, _shifted_parts(x, gen), params)
+
+def _apply(x: BimoduleElement, stage: int, params: Params) -> BimoduleElement:
+    """Bilinear extension: l (x) m (x) r maps through the generator image of m."""
+    if x.stage != stage:
+        raise DomainError(f"expected a stage-{stage} element, got stage {x.stage}")
+    parts = [
+        (coeff * pc, lword + pleft, ptag, pright + rword)
+        for (lword, tag, rword), coeff in x.terms.items()
+        for pc, pleft, ptag, pright in _generator_image(stage, tag, params)
+    ]
+    return BimoduleElement.build(stage - 1, parts, params)
+
+
+def apply_d1(x: BimoduleElement, params: Params) -> BimoduleElement:
+    """First differential, from stage 1 to stage 0."""
+    return _apply(x, 1, params)
+
+
+def apply_d2(x: BimoduleElement, params: Params) -> BimoduleElement:
+    """Second differential, from stage 2 to stage 1."""
+    return _apply(x, 2, params)
+
+
+def apply_d3(x: BimoduleElement, params: Params) -> BimoduleElement:
+    """Third differential, from the rank-one top stage to stage 2."""
+    return _apply(x, 3, params)
 
 
 @dataclass(frozen=True)
@@ -256,35 +226,31 @@ def _chi(word: Word, module: OneDimModule) -> Fraction:
     return value
 
 
-def _functor_vector(y: BimoduleElement, t1: OneDimModule, t2: OneDimModule):
-    """Collapse left legs with t2, right legs with t1; coordinates over the stage tags."""
-    coords = {tag: Fraction(0) for tag in STAGE_TAGS[y.stage]}
-    for (lword, tag, rword), coeff in y.terms.items():
-        coords[tag] += coeff * _chi(lword, t2) * _chi(rword, t1)
-    return coords
-
-
 def tor_matrices(t1: OneDimModule, t2: OneDimModule, params: Params):
-    """Mechanically collapsed differentials (f0, f1, f2); valid for any beta."""
-    f0_cols = []
-    for tag in STAGE_TAGS[1]:
-        image = apply_d1(BimoduleElement.generator(1, tag), params)
-        f0_cols.append(_functor_vector(image, t1, t2)[""])
-    f0 = [f0_cols]
-    f1 = [[Fraction(0)] * 2 for _ in range(2)]
-    for col, tag in enumerate(STAGE_TAGS[2]):
-        image = apply_d2(BimoduleElement.generator(2, tag), params)
-        coords = _functor_vector(image, t1, t2)
-        for row, row_tag in enumerate(STAGE_TAGS[1]):
-            f1[row][col] = coords[row_tag]
-    image = apply_d3(BimoduleElement.generator(3, "d2u2"), params)
-    coords = _functor_vector(image, t1, t2)
-    f2 = [[coords[tag]] for tag in STAGE_TAGS[2]]
-    return f0, f1, f2
+    """Mechanically collapsed differentials (f0, f1, f2); valid for any beta.
+
+    Each column is the image of one generator under apply_d1/2/3, with its
+    left legs evaluated at t2 and its right legs at t1.  This is the reference
+    that `closed_form_matrices` is tested against.
+    """
+    matrices = []
+    for stage, apply in ((1, apply_d1), (2, apply_d2), (3, apply_d3)):
+        rows, cols = STAGE_TAGS[stage - 1], STAGE_TAGS[stage]
+        matrix = [[Fraction(0)] * len(cols) for _ in rows]
+        for col, tag in enumerate(cols):
+            image = apply(BimoduleElement.generator(stage, tag), params)
+            for (lword, row_tag, rword), coeff in image.terms.items():
+                matrix[rows.index(row_tag)][col] += coeff * _chi(lword, t2) * _chi(rword, t1)
+        matrices.append(matrix)
+    return tuple(matrices)
 
 
 def closed_form_matrices(t1: OneDimModule, t2: OneDimModule, params: Params):
-    """The printed collapsed differentials; stated for beta = 0."""
+    """The collapsed differentials in closed form, for beta = 0 only.
+
+    The fast evaluator behind `tor_profile`; `tor_matrices` is the reference
+    it is tested against.
+    """
     if params.beta != 0:
         raise DomainError("closed forms require beta = 0")
     a, g = params.alpha, params.gamma
@@ -300,7 +266,10 @@ def closed_form_matrices(t1: OneDimModule, t2: OneDimModule, params: Params):
 
 
 def tor_profile(t1: OneDimModule, t2: OneDimModule, params: Params) -> TorProfile:
-    """Homology dimensions of 0 -> K -> K^2 -> K^2 -> K -> 0 by exact ranks."""
+    """Homology dimensions of 0 -> K -> K^2 -> K^2 -> K -> 0 by exact ranks.
+
+    Evaluates `closed_form_matrices`, hence the beta = 0 gate.
+    """
     if params.beta != 0:
         raise DomainError("tor_profile requires beta = 0; use tor_matrices otherwise")
     for name, module in (("t1", t1), ("t2", t2)):
@@ -312,7 +281,11 @@ def tor_profile(t1: OneDimModule, t2: OneDimModule, params: Params) -> TorProfil
 
 
 def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
-    """Valid modules: the trivial one first, canonical witnesses, then seeded samples."""
+    """Valid modules: the trivial one first, canonical witnesses, then seeded samples.
+
+    At most 40 * samples draws are made: the draws are small fractions, and
+    on the axes (gamma = 0, alpha + beta != 1) only 1,021 modules can be drawn.
+    """
     if not isinstance(samples, int) or samples < 1:
         raise DomainError("samples must be a positive integer")
     s = 1 - params.alpha - params.beta
@@ -334,27 +307,27 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
             seen.add(key)
             found.append(OneDimModule(*key))
 
-    if g == 0 and s != 0:
+    if g == 0:
         push(1, 0)
         push(0, 1)
-        while len(found) < samples:
-            if rng.random() < Fraction(1, 2):
-                push(small(nonzero=True), 0)
-            else:
-                push(0, small(nonzero=True))
-    elif g == 0 and s == 0:
-        push(1, 0)
-        push(0, 1)
-        push(1, 1)
-        while len(found) < samples:
-            push(small(), small())
-    elif s != 0:
+        if s == 0:
+            push(1, 1)
+    elif s == 0:
+        return found
+    else:
         push(1, g / s)
-        attempts = 0
-        while len(found) < samples and attempts < samples * 40:
+    attempts = 0
+    while len(found) < samples and attempts < samples * 40:
+        if g != 0:
             delta = small(nonzero=True)
             push(delta, g / (s * delta))
-            attempts += 1
+        elif s == 0:
+            push(small(), small())
+        elif rng.random() < Fraction(1, 2):
+            push(small(nonzero=True), 0)
+        else:
+            push(0, small(nonzero=True))
+        attempts += 1
     return found[:samples]
 
 

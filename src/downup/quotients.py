@@ -109,28 +109,6 @@ def c_clean(p) -> CPoly:
     return collect_terms(p, None, "bad exponent vector {key!r}")
 
 
-def c_add(p: CPoly, q: CPoly) -> CPoly:
-    out = dict(p)
-    for mon, coeff in q.items():
-        total = out.get(mon, Fraction(0)) + coeff
-        if total:
-            out[mon] = total
-        else:
-            out.pop(mon, None)
-    return out
-
-
-def c_scale(p: CPoly, coeff: Scalarlike) -> CPoly:
-    c = as_scalar(coeff)
-    if not c:
-        return {}
-    return {mon: c * v for mon, v in p.items()}
-
-
-def c_sub(p: CPoly, q: CPoly) -> CPoly:
-    return c_add(p, c_scale(q, -1))
-
-
 def c_str(p: CPoly, variables: tuple[str, ...]) -> str:
     ordered = sorted(p.items(), key=lambda kv: c_key(kv[0]), reverse=True)
     return render_terms(
@@ -216,7 +194,10 @@ def commutative_overlap_residuals(rules, nvars: int, max_degree: int):
             forms.append(reduce_commutative(stepped, rules))
         for form in forms[1:]:
             if form != forms[0]:
-                out.append((mon, c_sub(form, forms[0])))
+                residual = dict(form)
+                for m, c in forms[0].items():
+                    residual[m] = residual.get(m, 0) - c
+                out.append((mon, c_clean(residual)))
     return out
 
 

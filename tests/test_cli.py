@@ -92,6 +92,12 @@ def test_lambda_and_torbound(capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_torbound_returns_when_samples_exceed_the_modules(capsys):
+    # at gamma = 0, alpha != 1 the sampler finds only 1,021 modules
+    code, out, _ = run_cli(capsys, "torbound", "--params", "2,0,0", "--samples", "2000")
+    assert (code, out) == (0, "2\n")
+
+
 def test_classify_report_certifies(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "report", "--left", "1,0,1", "--right", "2,0,1",

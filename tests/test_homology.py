@@ -113,6 +113,11 @@ def test_enumerate_starts_at_zero_and_stays_valid():
                 assert abs(value.numerator) <= 400 and value.denominator <= 400
 
 
+def test_enumerate_stops_when_the_axes_run_out_of_modules():
+    p = Params(2, 0, 0)
+    assert enumerate_one_dim(p, 1022) == enumerate_one_dim(p, 1021)
+
+
 def test_enumerate_is_deterministic_and_finds_the_diagonal_witness():
     p = Params(2, 0, 1)
     first = enumerate_one_dim(p, 40)
@@ -161,6 +166,50 @@ def test_closed_forms_match_the_collapsed_differentials():
         t1, t2 = rng.choice(modules), rng.choice(modules)
         assert tor_matrices(t1, t2, p) == closed_form_matrices(t1, t2, p)
         checked += 1
+
+
+NONZERO = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def beta_module_pairs(draw):
+    """A beta != 0 triple whose valid modules lie on the axes, a hyperbola or
+    the plane, and two valid modules, each the origin or a point of that shape."""
+    shape = draw(st.sampled_from(("axes", "hyperbola", "plane")))
+    beta = draw(NONZERO)
+    if shape == "plane":
+        alpha = 1 - beta
+    else:
+        alpha = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
+        assume(alpha + beta != 1)
+    gamma = draw(NONZERO) if shape == "hyperbola" else Fraction(0)
+    p = Params(alpha, beta, gamma)
+    s = 1 - alpha - beta
+
+    def module():
+        if draw(st.integers(0, 3)) == 0:
+            return OneDimModule(0, 0)
+        delta, mu = draw(NONZERO), draw(NONZERO)
+        if shape == "plane":
+            return OneDimModule(delta, mu)
+        if shape == "axes":
+            return OneDimModule(delta, 0) if draw(st.booleans()) else OneDimModule(0, mu)
+        return OneDimModule(delta, gamma / (s * delta))
+
+    return p, module(), module()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(beta_module_pairs())
+def test_collapsed_complex_at_nonzero_beta(case):
+    p, t1, t2 = case
+    assert t1.satisfies(p) and t2.satisfies(p)
+    f0, f1, f2 = tor_matrices(t1, t2, p)
+    assert [[sum(f0[0][k] * f1[k][j] for k in range(2)) for j in range(2)]] == [[0, 0]]
+    assert [sum(f1[i][k] * f2[k][0] for k in range(2)) for i in range(2)] == [0, 0]
+    d1, m1, d2, m2, b = t1.delta, t1.mu, t2.delta, t2.mu, p.beta
+    assert f0 == [[d2 - d1, m2 - m1]]
+    assert f2 == [[-m1 - b * m2], [d2 + b * d1]]
 
 
 def test_profile_rejects_invalid_input():
@@ -256,5 +305,9 @@ def test_module_parsing():
 def test_element_rendering():
     p = Params(2, 0, 1)
     image = apply_d3(BimoduleElement.generator(3, "d2u2"), p)
-    assert str(image) == "-1*1(x)d^2*u(x)u + 1*d(x)d*u^2(x)1"
+    assert str(image) == "-1(x)d^2*u(x)u + d(x)d*u^2(x)1"
     assert str(BimoduleElement(0, {})) == "0"
+    fractional = BimoduleElement(1, {(("u",), "d", ("d", "d")): Fraction(3, 2)})
+    assert str(fractional) == "3/2*u(x)d(x)d^2"
+    negative = BimoduleElement(1, {((), "u", ()): Fraction(-2), (("d",), "d", ()): Fraction(1)})
+    assert str(negative) == "-2*1(x)u(x)1 + d(x)d(x)1"

@@ -216,6 +216,11 @@ def test_commutative_rules_are_confluent_to_degree_eight():
             assert commutative_overlap_residuals(rules, 2, 8) == []
 
 
+def test_overlap_residual_of_a_non_confluent_rule_set():
+    rules = orient_relations([{(2, 0): 1, (0, 1): -1}, {(1, 1): 1, (0, 0): -1}])  # d^2 = u, du = 1
+    assert commutative_overlap_residuals(rules, 2, 3) == [((2, 1), {(1, 0): 1, (0, 2): -1})]
+
+
 def test_reduce_commutative_on_a_principal_ideal():
     rules = orient_relations([{(1, 1): 1, (0, 0): -3}])  # du = 3
     assert reduce_commutative({(2, 2): Fraction(1)}, rules) == {(0, 0): Fraction(9)}
