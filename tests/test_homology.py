@@ -168,50 +168,6 @@ def test_closed_forms_match_the_collapsed_differentials():
         checked += 1
 
 
-NONZERO = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
-
-
-@st.composite
-def beta_module_pairs(draw):
-    """A beta != 0 triple whose valid modules lie on the axes, a hyperbola or
-    the plane, and two valid modules, each the origin or a point of that shape."""
-    shape = draw(st.sampled_from(("axes", "hyperbola", "plane")))
-    beta = draw(NONZERO)
-    if shape == "plane":
-        alpha = 1 - beta
-    else:
-        alpha = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
-        assume(alpha + beta != 1)
-    gamma = draw(NONZERO) if shape == "hyperbola" else Fraction(0)
-    p = Params(alpha, beta, gamma)
-    s = 1 - alpha - beta
-
-    def module():
-        if draw(st.integers(0, 3)) == 0:
-            return OneDimModule(0, 0)
-        delta, mu = draw(NONZERO), draw(NONZERO)
-        if shape == "plane":
-            return OneDimModule(delta, mu)
-        if shape == "axes":
-            return OneDimModule(delta, 0) if draw(st.booleans()) else OneDimModule(0, mu)
-        return OneDimModule(delta, gamma / (s * delta))
-
-    return p, module(), module()
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(beta_module_pairs())
-def test_collapsed_complex_at_nonzero_beta(case):
-    p, t1, t2 = case
-    assert t1.satisfies(p) and t2.satisfies(p)
-    f0, f1, f2 = tor_matrices(t1, t2, p)
-    assert [[sum(f0[0][k] * f1[k][j] for k in range(2)) for j in range(2)]] == [[0, 0]]
-    assert [sum(f1[i][k] * f2[k][0] for k in range(2)) for i in range(2)] == [0, 0]
-    d1, m1, d2, m2, b = t1.delta, t1.mu, t2.delta, t2.mu, p.beta
-    assert f0 == [[d2 - d1, m2 - m1]]
-    assert f2 == [[-m1 - b * m2], [d2 + b * d1]]
-
-
 def test_profile_rejects_invalid_input():
     p = Params(2, 0, 1)
     with pytest.raises(DomainError):
@@ -291,6 +247,50 @@ def test_nontrivial_modules_have_tor1_at_least_one_with_themselves(case):
     p, t, _ = case
     assume(t != OneDimModule(0, 0))
     assert tor_profile(t, t, p).dims[1] >= 1
+
+
+NONZERO = RATIONALS.filter(bool)
+
+
+@st.composite
+def beta_module_pairs(draw):
+    """A beta != 0 triple whose valid modules lie on the axes, a hyperbola or
+    the plane, and two valid modules, each the origin or a point of that shape."""
+    shape = draw(st.sampled_from(("axes", "hyperbola", "plane")))
+    beta = draw(NONZERO)
+    if shape == "plane":
+        alpha = 1 - beta
+    else:
+        alpha = draw(RATIONALS)
+        assume(alpha + beta != 1)
+    gamma = draw(NONZERO) if shape == "hyperbola" else Fraction(0)
+    p = Params(alpha, beta, gamma)
+    s = 1 - alpha - beta
+
+    def module():
+        if draw(st.integers(0, 3)) == 0:
+            return OneDimModule(0, 0)
+        delta, mu = draw(NONZERO), draw(NONZERO)
+        if shape == "plane":
+            return OneDimModule(delta, mu)
+        if shape == "axes":
+            return OneDimModule(delta, 0) if draw(st.booleans()) else OneDimModule(0, mu)
+        return OneDimModule(delta, gamma / (s * delta))
+
+    return p, module(), module()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(beta_module_pairs())
+def test_collapsed_complex_at_nonzero_beta(case):
+    p, t1, t2 = case
+    assert t1.satisfies(p) and t2.satisfies(p)
+    f0, f1, f2 = tor_matrices(t1, t2, p)
+    assert [[sum(f0[0][k] * f1[k][j] for k in range(2)) for j in range(2)]] == [[0, 0]]
+    assert [sum(f1[i][k] * f2[k][0] for k in range(2)) for i in range(2)] == [0, 0]
+    d1, m1, d2, m2, b = t1.delta, t1.mu, t2.delta, t2.mu, p.beta
+    assert f0 == [[d2 - d1, m2 - m1]]
+    assert f2 == [[-m1 - b * m2], [d2 + b * d1]]
 
 
 def test_module_parsing():
