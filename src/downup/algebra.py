@@ -41,13 +41,7 @@ class Params:
         parts = [piece.strip() for piece in text.split(",")]
         if len(parts) != 3:
             raise DomainError(f"expected three comma-separated rationals, got {text!r}")
-        values = []
-        for piece in parts:
-            try:
-                values.append(Fraction(piece))
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"bad rational {piece!r} in parameter triple") from None
-        return cls(*values)
+        return cls(*parts)
 
     def __str__(self) -> str:
         return f"({self.alpha}, {self.beta}, {self.gamma})"

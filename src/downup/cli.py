@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .classify import invariant_report, is_monomial, iso_verdict, lambda_sequence, type_of
 from .errors import DomainError
-from .expr import DU, DWU, YX, parse
+from .expr import DU, DWU, YX, as_scalar, parse
 from .homology import OneDimModule, tor_profile, tor1_bound
 from .quiver import load_monomial_algebra, monomial_abelianization
 from .quotients import (
@@ -48,13 +48,6 @@ class _Outcome(NamedTuple):
     result: object
     provenance: str
     exit_code: int = 0
-
-
-def _scalar(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"bad rational {text!r}") from None
 
 
 def _bool_text(value: bool) -> str:
@@ -130,7 +123,7 @@ def _run_project(args):
 
 
 def _run_qnf(args):
-    algebra = quantum_weyl(_scalar(args.alpha)) if args.weyl else quantum_plane(_scalar(args.alpha))
+    algebra = quantum_weyl(as_scalar(args.alpha)) if args.weyl else quantum_plane(as_scalar(args.alpha))
     result = str(q_normal_form(parse(args.expr, YX), algebra))
     return _Outcome(result, result, "quantum normal form")
 
@@ -185,7 +178,7 @@ def _run_classify(args):
 
 
 def _run_lambda(args):
-    values = lambda_sequence(_scalar(args.alpha), args.terms)
+    values = lambda_sequence(as_scalar(args.alpha), args.terms)
     text = ",".join(str(value) for value in values)
     return _Outcome(text, [str(value) for value in values], "witness scalar recursion")
 

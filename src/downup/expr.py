@@ -23,16 +23,23 @@ OMEGA = "ω"
 
 
 def as_scalar(value: Scalarlike) -> Fraction:
-    """Coerce an int, Fraction, or string like '-5/3' to an exact rational."""
+    """Coerce an int, Fraction, or string to an exact rational.
+
+    Strings may be integers, fractions like '-5/3' or decimals like '0.25';
+    exponent notation is rejected.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a rational literal: {value!r}") from exc
+        # an exponent part would make Fraction build 10**exponent: 1e99999999 hangs
+        if "e" not in value.lower():
+            try:
+                return Fraction(value.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise DomainError(f"not a rational literal: {value!r}")
     raise DomainError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -385,15 +392,15 @@ def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = int(text[i:j])
             if j < n and text[j] == "/":
                 k = j + 1
                 m = k
-                while m < n and text[m].isdigit():
+                while m < n and text[m].isdecimal():
                     m += 1
                 if m == k:
                     raise ParseError("missing denominator", j)

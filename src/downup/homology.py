@@ -59,10 +59,7 @@ class OneDimModule:
         parts = [piece.strip() for piece in text.split(",")]
         if len(parts) != 2:
             raise DomainError(f"expected two comma-separated rationals, got {text!r}")
-        try:
-            return cls(Fraction(parts[0]), Fraction(parts[1]))
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"bad rational in module pair {text!r}") from None
+        return cls(*parts)
 
     def satisfies(self, params: Params) -> bool:
         """Both defining relations act by zero on (delta, mu)."""

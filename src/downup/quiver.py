@@ -109,26 +109,34 @@ def arrow_tor_table(algebra: MonomialAlgebra) -> dict[tuple[str, str], int]:
     return table
 
 
+def _json_list(data: dict, key: str, default=None) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise DomainError(f"quiver description needs a {key!r} list")
+    return value
+
+
 def monomial_algebra_from_json(data) -> MonomialAlgebra:
     if not isinstance(data, dict):
         raise DomainError("quiver description must be a JSON object")
-    try:
-        vertices = tuple(data["vertices"])
-    except KeyError:
-        raise DomainError("quiver description needs a 'vertices' list") from None
+    vertices = tuple(_json_list(data, "vertices"))
     arrows = []
-    for entry in data.get("arrows", []):
+    for entry in _json_list(data, "arrows", []):
         if isinstance(entry, dict):
             try:
                 arrows.append((entry["id"], entry["source"], entry["target"]))
             except KeyError:
                 raise DomainError(f"arrow object {entry!r} needs id/source/target") from None
-        else:
-            if len(entry) != 3:
-                raise DomainError(f"arrow entry {entry!r} must be [id, source, target]")
+        elif isinstance(entry, list) and len(entry) == 3:
             arrows.append(tuple(entry))
-    relations = tuple(tuple(rel) for rel in data.get("relations", []))
-    return MonomialAlgebra(Quiver(vertices, tuple(arrows)), relations)
+        else:
+            raise DomainError(f"arrow entry {entry!r} must be [id, source, target]")
+    relations = []
+    for rel in _json_list(data, "relations", []):
+        if not isinstance(rel, list):
+            raise DomainError(f"relation {rel!r} must be a list of arrow ids")
+        relations.append(tuple(rel))
+    return MonomialAlgebra(Quiver(vertices, tuple(arrows)), tuple(relations))
 
 
 def parse_quiver_text(text: str) -> MonomialAlgebra:

@@ -339,18 +339,12 @@ def summand_graded_dim(summand: Summand, n: int) -> int:
     """Dimension of the degree-n piece; relations must be homogeneous."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if summand.is_field:
-        return 1 if n == 0 else 0
     for rel in summand.relation_polys():
         degrees = {sum(mon) for mon in rel}
         if len(degrees) > 1:
             raise DomainError("graded dimensions need homogeneous relations")
-    rules = orient_relations(summand.relation_polys())
-    count = 0
-    for mon in monomials_up_to(len(summand.variables), n):
-        if sum(mon) == n and not any(_divides(lhs, mon) for lhs, _ in rules):
-            count += 1
-    return count
+    below = summand_filtered_dim(summand, n - 1) if n else 0
+    return summand_filtered_dim(summand, n) - below
 
 
 def presentation_filtered_dim(pres: AbelianPresentation, n: int) -> int:
@@ -366,11 +360,12 @@ def presentation_filtered_dim(pres: AbelianPresentation, n: int) -> int:
 def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:
     """Brute-force filtered dimension of K[vars]/(relations) by a span computation.
 
-    Builds the span of all products monomial*relation of total degree at most
-    n + slack, intersects it with the polynomials of degree at most n via
-    dim(V & W) = dim V + dim W - dim(V + W), and subtracts from the monomial
-    count.  Exact for slack large enough; callers should confirm stability
-    across two slack values.
+    Builds the span V of all products monomial*relation of total degree at
+    most n + slack, with columns by ascending degree.  The part of V of
+    degree at most n is the kernel of cutting each row to its columns of
+    degree above n, so it has dimension rank(V) - rank(cut rows); the answer
+    is the monomial count of degree at most n minus that.  Exact for slack
+    large enough; callers should confirm stability across two slack values.
     """
     if n < 0 or slack < 0:
         raise DomainError("degree and slack must be nonnegative")
@@ -379,26 +374,13 @@ def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:
         raise DomainError("zero relation")
     ambient = monomials_up_to(nvars, n + slack)
     column = {mon: pos for pos, mon in enumerate(ambient)}
-    small = [mon for mon in ambient if sum(mon) <= n]
-
-    def vector(p: CPoly):
-        row = [Fraction(0)] * len(ambient)
-        for mon, coeff in p.items():
-            row[column[mon]] = coeff
-        return row
-
+    low = len(monomials_up_to(nvars, n))
     products = []
     for rel in relations:
-        rel_degree = max(sum(mon) for mon in rel)
-        for mon in monomials_up_to(nvars, max(n + slack - rel_degree, 0)):
-            shifted = {
-                tuple(a + b for a, b in zip(mon, m2)): c2 for m2, c2 in rel.items()
-            }
-            if max(sum(m) for m in shifted) <= n + slack:
-                products.append(vector(shifted))
-    low = [vector({mon: Fraction(1)}) for mon in small]
-    dim_ideal = rank(products)
-    dim_low = len(small)
-    dim_sum = rank(products + low)
-    dim_intersection = dim_ideal + dim_low - dim_sum
-    return dim_low - dim_intersection
+        for mon in monomials_up_to(nvars, n + slack - max(sum(m) for m in rel)):
+            row = [Fraction(0)] * len(ambient)
+            for m2, c2 in rel.items():
+                row[column[tuple(a + b for a, b in zip(mon, m2))]] = c2
+            products.append(row)
+    dim_low_ideal = rank(products) - rank([row[low:] for row in products])
+    return low - dim_low_ideal

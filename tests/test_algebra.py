@@ -58,6 +58,12 @@ def test_params_parsing_and_coercion():
         Params.parse("1,2")
     with pytest.raises(DomainError):
         Params.parse("1,x,3")
+    assert Params.parse("2,-1/3,5") == Params(2, Fraction(-1, 3), 5)
+    assert Params.parse(" 1/2 , 0 , 3 ") == Params(Fraction(1, 2), 0, 3)
+    assert Params.parse("0.5,0,1") == Params(Fraction(1, 2), 0, 1)
+    for text in ("1e5,0,0", "0,1E5,0"):
+        with pytest.raises(DomainError, match="not a rational literal"):
+            Params.parse(text)
 
 
 def test_pbw_normal_form_of_relation_words():

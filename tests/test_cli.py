@@ -119,6 +119,14 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "quiver-abel", "/nonexistent/quiver.txt")
     assert code == 1
+    for argv in (
+        ["nf", "--params", "1e5,0,0", "d"],
+        ["nf", "--params", "0,0,1E5", "d"],
+        ["tor", "--params", "0,0,0", "--t1", "1e5,0", "--t2", "0,0"],
+        ["qnf", "--alpha", "1E5", "y*x"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "error: not a rational literal" in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -193,6 +201,10 @@ def test_quiver_abel_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
     code, out, _ = run_cli(capsys, "quiver-abel", "-")
     assert (code, out) == (0, "K[X_d,X_u]/(X_d^2*X_u, X_d*X_u^2)\n")
+
+    as_json.write_text('{"vertices": ["e"], "arrows": [5]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "quiver-abel", str(as_json))
+    assert (code, out, err) == (1, "", "error: arrow entry 5 must be [id, source, target]\n")
 
 
 TOR = ["tor", "--params", "0,0,0", "--t1", "0,0", "--t2", "0,0"]

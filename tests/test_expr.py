@@ -41,6 +41,9 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse("d + * u", DU)
     assert err.value.position == 4
+    with pytest.raises(ParseError) as err:
+        parse("d\u00b2", DU)  # a digit that is not a decimal digit
+    assert err.value.position == 1
 
 
 def test_parse_juxtaposition_and_rationals():

@@ -96,6 +96,14 @@ def test_module_validity_equations():
     assert not OneDimModule(1, 1).satisfies(Params(1, 0, 1))
 
 
+def test_module_parsing_rejects_exponents():
+    assert OneDimModule.parse(" 1/2 , -3 ") == OneDimModule(Fraction(1, 2), -3)
+    assert OneDimModule.parse("0.5,0") == OneDimModule(Fraction(1, 2), 0)
+    for text in ("1e5,0", "0,1E5"):
+        with pytest.raises(DomainError, match="not a rational literal"):
+            OneDimModule.parse(text)
+
+
 def test_enumerate_trivial_regime_is_a_single_module():
     assert enumerate_one_dim(Params(1, 0, 1), 50) == [OneDimModule(0, 0)]
 

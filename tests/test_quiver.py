@@ -138,6 +138,20 @@ def test_json_parsing_accepts_both_arrow_forms():
         monomial_algebra_from_json({"arrows": []})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 5}',
+        '{"vertices": ["e"], "arrows": [5]}',
+        '{"vertices": ["e"], "relations": 5}',
+        '{"vertices": ["e"], "relations": [5]}',
+    ],
+)
+def test_malformed_json_quivers_are_domain_errors(text):
+    with pytest.raises(DomainError):
+        load_monomial_algebra(text)
+
+
 def test_summand_count_matches_vertex_count():
     quiver = Quiver(
         ("a", "b", "c"),

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downup.algebra import Params, ideal_power_membership, omega_poly
 from downup.errors import DomainError
 from downup.expr import DU, YX, NcPoly, parse
+from downup.linalg import rank
 from downup.quotients import (
     AbelianPresentation,
     QElem,
@@ -253,6 +256,9 @@ def test_graded_dimensions_of_the_monomial_case():
     mixed = abelianization(Params(2, 0, 1)).summands[1]
     with pytest.raises(DomainError):
         summand_graded_dim(mixed, 2)
+    field = Summand.field()
+    assert [summand_graded_dim(field, n) for n in range(5)] == [1, 0, 0, 0, 0]
+    assert [summand_filtered_dim(field, n) for n in range(5)] == [1, 1, 1, 1, 1]
 
 
 def test_filtered_dimensions_match_the_span_oracle():
@@ -264,6 +270,39 @@ def test_filtered_dimensions_match_the_span_oracle():
         expected = summand_filtered_dim(summand, n)
         assert span_filtered_dim(relations, 2, n, 3) == expected
         assert span_filtered_dim(relations, 2, n, 5) == expected
+
+
+def inclusion_exclusion_filtered_dim(relations, nvars, n, slack):
+    """The span oracle by dim(V & W) = dim V + dim W - dim(V + W), with W the
+    polynomials of degree <= n given by one identity row per monomial."""
+    ambient = monomials_up_to(nvars, n + slack)
+    products = []
+    for rel in relations:
+        for mon in ambient:
+            shifted = {tuple(a + b for a, b in zip(mon, m)): c for m, c in rel.items()}
+            if all(sum(m) <= n + slack for m in shifted):
+                products.append([shifted.get(m, 0) for m in ambient])
+    low = [[int(m == mon) for m in ambient] for mon in ambient if sum(mon) <= n]
+    intersection = rank(products) + len(low) - rank(products + low)
+    return len(low) - intersection
+
+
+@st.composite
+def relation_sets(draw):
+    nvars = draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    relation = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
+    return draw(st.lists(relation, min_size=1, max_size=3)), nvars
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(relation_sets(), st.integers(0, 4), st.integers(0, 3))
+def test_span_oracle_agrees_with_inclusion_exclusion(case, n, slack):
+    # random sets are mostly not Groebner bases, so standard monomials would not do
+    relations, nvars = case
+    expected = inclusion_exclusion_filtered_dim(relations, nvars, n, slack)
+    assert span_filtered_dim(relations, nvars, n, slack) == expected
 
 
 def test_split_presentation_matches_the_unsplit_ideal():
