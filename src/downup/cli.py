@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .classify import invariant_report, is_monomial, iso_verdict, lambda_sequence, type_of
 from .errors import DomainError
-from .expr import DU, DWU, YX, as_scalar, parse
+from .expr import DU, DWU, YX, parse
 from .homology import OneDimModule, tor_profile, tor1_bound
 from .quiver import load_monomial_algebra, monomial_abelianization
 from .quotients import (
@@ -123,7 +123,7 @@ def _run_project(args):
 
 
 def _run_qnf(args):
-    algebra = quantum_weyl(as_scalar(args.alpha)) if args.weyl else quantum_plane(as_scalar(args.alpha))
+    algebra = quantum_weyl(args.alpha) if args.weyl else quantum_plane(args.alpha)
     result = str(q_normal_form(parse(args.expr, YX), algebra))
     return _Outcome(result, result, "quantum normal form")
 
@@ -178,7 +178,7 @@ def _run_classify(args):
 
 
 def _run_lambda(args):
-    values = lambda_sequence(as_scalar(args.alpha), args.terms)
+    values = lambda_sequence(args.alpha, args.terms)
     text = ",".join(str(value) for value in values)
     return _Outcome(text, [str(value) for value in values], "witness scalar recursion")
 

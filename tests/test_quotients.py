@@ -296,7 +296,7 @@ def relation_sets(draw):
     return draw(st.lists(relation, min_size=1, max_size=3)), nvars
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(relation_sets(), st.integers(0, 4), st.integers(0, 3))
 def test_span_oracle_agrees_with_inclusion_exclusion(case, n, slack):
     # random sets are mostly not Groebner bases, so standard monomials would not do
