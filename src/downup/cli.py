@@ -219,25 +219,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d[\d/.,-]*$")
 
 
-# Runners look library functions up as module globals when they run, so a
-# rebound name (a tracer's span, a test's patch) is seen on the next call.
-_RUNNERS = {
-    "nf": _run_nf,
-    "omega": _run_omega,
-    "member": _run_member,
-    "bimod": _run_bimod,
-    "project": _run_project,
-    "qnf": _run_qnf,
-    "abel": _run_abel,
-    "tor": _run_tor,
-    "torbound": _run_torbound,
-    "classify": _run_classify,
-    "lambda": _run_lambda,
-    "quiver-abel": _run_quiver_abel,
-    "verify": _run_verify,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared read-only.
@@ -263,50 +244,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def sub(name, help_text, **kwargs):
-        return commands.add_parser(name, parents=[common], help=help_text, **kwargs)
+    # Runners look library functions up as module globals when they run, so a
+    # rebound name (a tracer's span, a test's patch) is seen on the next call.
+    def sub(name, help_text, run):
+        command = commands.add_parser(name, parents=[common], help=help_text)
+        command.set_defaults(run=run)
+        return command
 
-    nf = sub("nf", "PBW normal form of a d,u expression")
+    nf = sub("nf", "PBW normal form of a d,u expression", _run_nf)
     nf.add_argument("--params", required=True, help="alpha,beta,gamma")
     nf.add_argument("expr")
 
-    omega = sub("omega", "omega-basis coordinates of an expression (beta = 0)")
+    omega = sub("omega", "omega-basis coordinates of an expression (beta = 0)", _run_omega)
     omega.add_argument("--params", required=True)
     omega.add_argument("--invert", action="store_true", help="convert back to the PBW basis")
     omega.add_argument("expr")
 
-    member = sub("member", "membership in a power of the omega ideal")
+    member = sub("member", "membership in a power of the omega ideal", _run_member)
     member.add_argument("--params", required=True)
     member.add_argument("--power", type=int, required=True)
     member.add_argument("expr")
 
-    bimod = sub("bimod", "class in the omega bimodule quotient")
+    bimod = sub("bimod", "class in the omega bimodule quotient", _run_bimod)
     bimod.add_argument("--params", required=True)
     bimod.add_argument("--formula", help="I,L,left|right: image of a basis class under the action")
     bimod.add_argument("expr", nargs="?")
 
-    project_cmd = sub("project", "image in the quantum plane or Weyl algebra")
+    project_cmd = sub("project", "image in the quantum plane or Weyl algebra", _run_project)
     project_cmd.add_argument("--params", required=True)
     project_cmd.add_argument("expr")
 
-    qnf = sub("qnf", "normal form in a quantum plane or Weyl algebra")
+    qnf = sub("qnf", "normal form in a quantum plane or Weyl algebra", _run_qnf)
     qnf.add_argument("--alpha", required=True)
     qnf.add_argument("--weyl", action="store_true", help="use the Weyl constant 1")
     qnf.add_argument("expr")
 
-    abel = sub("abel", "abelianization presentation and its invariants")
+    abel = sub("abel", "abelianization presentation and its invariants", _run_abel)
     abel.add_argument("--params", required=True)
 
-    tor = sub("tor", "Tor profile of two one-dimensional modules (beta = 0)")
+    tor = sub("tor", "Tor profile of two one-dimensional modules (beta = 0)", _run_tor)
     tor.add_argument("--params", required=True)
     tor.add_argument("--t1", required=True, help="delta,mu")
     tor.add_argument("--t2", required=True, help="delta,mu")
 
-    torbound = sub("torbound", "largest sampled Tor_1 dimension (beta = 0)")
+    torbound = sub("torbound", "largest sampled Tor_1 dimension (beta = 0)", _run_torbound)
     torbound.add_argument("--params", required=True)
     torbound.add_argument("--samples", type=int, default=40)
 
-    classify = sub("classify", "type tag, isomorphism verdict, monomiality, report")
+    classify = sub("classify", "type tag, isomorphism verdict, monomiality, report", _run_classify)
     modes = classify.add_subparsers(dest="mode", required=True, metavar="MODE")
     for mode in ("type", "monomial"):
         mode_parser = modes.add_parser(mode, parents=[common])
@@ -318,20 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
         if mode == "report":
             mode_parser.add_argument("--samples", type=int, default=40)
 
-    lam = sub("lambda", "witness scalar sequence for an invertible alpha")
+    lam = sub("lambda", "witness scalar sequence for an invertible alpha", _run_lambda)
     lam.add_argument("--alpha", required=True)
     lam.add_argument("--terms", type=int, default=20, help="largest index m")
 
-    quiver_abel = sub("quiver-abel", "abelianization of a quiver monomial algebra")
-    quiver_abel.add_argument("file", help="quiver description file, or - for stdin")
+    quiver_cmd = sub("quiver-abel", "abelianization of a quiver monomial algebra", _run_quiver_abel)
+    quiver_cmd.add_argument("file", help="quiver description file, or - for stdin")
 
-    sub("verify", "run the acceptance property suite")
+    sub("verify", "run the acceptance property suite", _run_verify)
 
     return parser
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "mode", "json"}
+    skip = {"command", "mode", "json", "run"}
     return {
         key: value
         for key, value in sorted(vars(args).items())
@@ -343,7 +328,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        outcome = _RUNNERS[args.command](args)
+        outcome = args.run(args)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -268,7 +268,8 @@ def collect_terms(terms, arity: int | None, bad_key: str) -> dict[tuple[int, ...
             not isinstance(x, int) or x < 0 for x in key
         ):
             raise DomainError(bad_key.format(key=key))
-        out[key] = out.get(key, 0) + as_scalar(value)
+        value = as_scalar(value)
+        out[key] = out[key] + value if key in out else value
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
@@ -382,6 +383,13 @@ class _Token:
         self.pos = pos
 
 
+def _digits(text: str, start: int, stop: int) -> int:
+    try:
+        return int(text[start:stop])
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("number has too many digits", start) from None
+
+
 def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
     names = sorted(alphabet.letters, key=len, reverse=True)
     aliases = {"omega": OMEGA} if OMEGA in alphabet else {}
@@ -396,7 +404,7 @@ def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            num = int(text[i:j])
+            num = _digits(text, i, j)
             if j < n and text[j] == "/":
                 k = j + 1
                 m = k
@@ -404,7 +412,7 @@ def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
                     m += 1
                 if m == k:
                     raise ParseError("missing denominator", j)
-                den = int(text[k:m])
+                den = _digits(text, k, m)
                 if den == 0:
                     raise ParseError("zero denominator", k)
                 tokens.append(_Token("num", Fraction(num, den), i))

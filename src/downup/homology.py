@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import Params, pbw_normal_form
 from .errors import DomainError
-from .expr import DU, PBW, NcPoly, Word, as_scalar, format_word, render_terms
+from .expr import DU, NcPoly, Word, as_scalar, format_word, render_terms
 from .linalg import rank
 
 STAGE_TAGS = {
@@ -104,17 +104,12 @@ class BimoduleElement:
             coeff = as_scalar(coeff)
             if not coeff:
                 continue
-            left_nf = pbw_normal_form(NcPoly.monomial(DU, left), params)
-            right_nf = pbw_normal_form(NcPoly.monomial(DU, right), params)
-            for lkey, lc in left_nf.terms.items():
-                lword = PBW.word(lkey)
-                for rkey, rc in right_nf.terms.items():
-                    key = (lword, tag, PBW.word(rkey))
-                    total = terms.get(key, Fraction(0)) + coeff * lc * rc
-                    if total:
-                        terms[key] = total
-                    else:
-                        del terms[key]
+            left_nf = pbw_normal_form(NcPoly.monomial(DU, left), params).to_ncpoly().terms
+            right_nf = pbw_normal_form(NcPoly.monomial(DU, right), params).to_ncpoly().terms
+            for lword, lc in left_nf.items():
+                for rword, rc in right_nf.items():
+                    key = (lword, tag, rword)
+                    terms[key] = terms.get(key, Fraction(0)) + coeff * lc * rc
         return cls(stage, terms)
 
     @classmethod

@@ -133,9 +133,24 @@ def orient_relations(relations) -> list[tuple[Monomial, CPoly]]:
         if lead in seen:
             raise DomainError("two relations share a leading monomial")
         seen.add(lead)
-        inv = 1 / rel[lead]
-        rules.append((lead, {m: -c * inv for m, c in rel.items() if m != lead}))
+        scale = -rel[lead]
+        rules.append((lead, {m: c / scale for m, c in rel.items() if m != lead}))
     return rules
+
+
+def _step(mon: Monomial, rule) -> CPoly:
+    """One rewrite of mon by a rule whose lhs divides it: the rhs times mon / lhs."""
+    lhs, rhs = rule
+    return {tuple(m - a + b for m, a, b in zip(mon, lhs, r)): c for r, c in rhs.items()}
+
+
+def _s_polynomial(first, second) -> CPoly:
+    """S-polynomial of two monic rules: the lcm of their lhs rewritten by each, subtracted."""
+    lcm = tuple(map(max, first[0], second[0]))
+    out = _step(lcm, second)
+    for mon, c in _step(lcm, first).items():
+        out[mon] = out[mon] - c if mon in out else -c
+    return {mon: c for mon, c in out.items() if c}
 
 
 def reduce_commutative(p: CPoly, rules) -> CPoly:
@@ -152,11 +167,8 @@ def reduce_commutative(p: CPoly, rules) -> CPoly:
                     break
         if target is None:
             return current
-        lhs, rhs = choice
         coeff = current.pop(target)
-        cofactor = tuple(a - b for a, b in zip(target, lhs))
-        for m2, c2 in rhs.items():
-            mon = tuple(a + b for a, b in zip(cofactor, m2))
+        for mon, c2 in _step(target, choice).items():
             total = current.get(mon, Fraction(0)) + coeff * c2
             if total:
                 current[mon] = total
@@ -185,13 +197,7 @@ def commutative_overlap_residuals(rules, nvars: int, max_degree: int):
         applicable = [(lhs, rhs) for lhs, rhs in rules if _divides(lhs, mon)]
         if len(applicable) < 2:
             continue
-        forms = []
-        for lhs, rhs in applicable:
-            cofactor = tuple(a - b for a, b in zip(mon, lhs))
-            stepped = {
-                tuple(a + b for a, b in zip(cofactor, m2)): c2 for m2, c2 in rhs.items()
-            }
-            forms.append(reduce_commutative(stepped, rules))
+        forms = [reduce_commutative(_step(mon, rule), rules) for rule in applicable]
         for form in forms[1:]:
             if form != forms[0]:
                 residual = dict(form)
@@ -221,15 +227,25 @@ class Summand:
 
     @classmethod
     def poly(cls, variables, relations) -> "Summand":
-        canonical = []
+        """K[variables]/(relations); the relations must be a Groebner basis.
+
+        The dimensions count standard monomials, which is exact only for a
+        Groebner basis, so every S-polynomial must reduce to 0.
+        """
+        cleaned = []
         for rel in relations:
             rel = c_clean(rel)
             if not rel:
                 raise DomainError("relation polynomial must be nonzero")
             if any(len(mon) != len(tuple(variables)) for mon in rel):
                 raise DomainError("relation arity does not match the variables")
-            canonical.append(_canon(rel))
-        return cls(tuple(variables), tuple(canonical))
+            cleaned.append(rel)
+        rules = orient_relations(cleaned)
+        for first, second in itertools.combinations(rules, 2):
+            s_poly = _s_polynomial(first, second)
+            if s_poly and reduce_commutative(s_poly, rules):
+                raise DomainError("relations are not a Groebner basis")
+        return cls(tuple(variables), tuple(_canon(rel) for rel in cleaned))
 
     @property
     def is_field(self) -> bool:

@@ -123,32 +123,15 @@ def critical_pairs(rs: RuleSet, max_degree: int) -> list[tuple[Word, NcPoly]]:
     if max_degree < longest:
         raise DomainError(f"max_degree {max_degree} below longest lhs {longest}")
     out: list[tuple[Word, NcPoly]] = []
-
-    def record(word: Word, left: NcPoly, right: NcPoly) -> None:
-        if len(word) <= max_degree:
-            out.append((word, reduce(left - right, rs)))
-
-    rules = list(rs.rules)
-    for i, r1 in enumerate(rules):
-        for j in range(i, len(rules)):
-            r2 = rules[j]
+    for r1 in rs.rules:
+        for r2 in rs.rules:
             l1, l2 = tuple(r1.lhs), tuple(r2.lhs)
-            for k in range(1, min(len(l1), len(l2))):
-                # suffix of l1 meets prefix of l2: word = l1 . l2[k:]
-                if l1[len(l1) - k :] == l2[:k]:
-                    word = l1 + l2[k:]
-                    record(word, _rewrite_at(word, 0, r1), _rewrite_at(word, len(l1) - k, r2))
-                # and symmetrically unless the pair is a single rule
-                if i != j and l2[len(l2) - k :] == l1[:k]:
-                    word = l2 + l1[k:]
-                    record(word, _rewrite_at(word, 0, r2), _rewrite_at(word, len(l2) - k, r1))
-            if i != j:
-                # one lhs strictly inside the other
-                if len(l2) < len(l1):
-                    inner, outer, rin, rout = l2, l1, r2, r1
-                else:
-                    inner, outer, rin, rout = l1, l2, r1, r2
-                for pos in range(len(outer) - len(inner) + 1):
-                    if outer[pos : pos + len(inner)] == inner:
-                        record(outer, _rewrite_at(outer, 0, rout), _rewrite_at(outer, pos, rin))
+            # r2's lhs starts at p inside r1's; at p = 0 only a strictly
+            # shorter one is an ambiguity, otherwise the entry repeats another
+            # or pairs a rule with itself
+            for p in range(0 if len(l2) < len(l1) else 1, len(l1)):
+                word = l1 + l2[len(l1) - p :]
+                if len(word) <= max_degree and word[p : p + len(l2)] == l2:
+                    residual = _rewrite_at(word, 0, r1) - _rewrite_at(word, p, r2)
+                    out.append((word, reduce(residual, rs)))
     return out

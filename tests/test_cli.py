@@ -127,6 +127,8 @@ def test_domain_errors_exit_one(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and "error: not a rational literal" in err
+    code, out, err = run_cli(capsys, "nf", "--params", "1,1,1", "1" * 5000)
+    assert (code, out, err) == (1, "", "error: number has too many digits (at position 0)\n")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -44,6 +44,11 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse("d\u00b2", DU)  # a digit that is not a decimal digit
     assert err.value.position == 1
+    # more digits than int() converts from a string; the error names the run
+    for text, position in (("1" * 5000, 0), ("d + 1/" + "7" * 5000, 6)):
+        with pytest.raises(ParseError, match="number has too many digits") as err:
+            parse(text, DU)
+        assert err.value.position == position
 
 
 def test_parse_juxtaposition_and_rationals():

@@ -1,5 +1,6 @@
 """Tests for quantum quotients and abelianizations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -187,6 +188,12 @@ def test_abelian_invariants_flags():
     }
 
 
+def test_every_abelianization_builds_as_a_groebner_presentation():
+    values = (0, 1, 2, -1, Fraction(1, 2), 3, Fraction(-1, 3))
+    for a, b, g in itertools.product(values, repeat=3):
+        abelianization(Params(a, b, g))  # a refused summand raises DomainError
+
+
 def test_commuted_relations_vanish_in_the_presentation():
     rng = random.Random(79)
     for _ in range(20):
@@ -327,5 +334,11 @@ def test_summand_validation():
         Summand.poly(("d", "u"), [{}])
     with pytest.raises(DomainError):
         Summand.poly(("d", "u"), [{(1, 1, 1): Fraction(1)}])
+    # d^2 - u, du - 1: the S-polynomial d - u^2 is irreducible, and standard
+    # monomials would give filtered dimensions 1, 3, 4, 5, 6 instead of 1, 3, 3, 3, 3
+    with pytest.raises(DomainError, match="not a Groebner basis"):
+        Summand.poly(("d", "u"), [{(2, 0): 1, (0, 1): -1}, {(1, 1): 1, (0, 0): -1}])
+    with pytest.raises(DomainError, match="share a leading monomial"):
+        Summand.poly(("d", "u"), [{(1, 1): 1, (0, 0): -1}, {(1, 1): 2, (1, 0): 1}])
     assert Summand.field().is_field
     assert str(AbelianPresentation((Summand.field(), Summand.field()))) == "K (+) K"

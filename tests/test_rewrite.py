@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from downup.algebra import Params, downup_rules, omega_rules, pbw_normal_form
 from downup.errors import DomainError
-from downup.expr import DU, DWU, YX, NcPoly, parse
+from downup.expr import DU, DWU, YX, Alphabet, NcPoly, parse
 from downup.rewrite import RewriteRule, RuleSet, _rewrite_at, critical_pairs, reduce
 
 
@@ -153,6 +153,65 @@ def test_omega_rules_resolve_all_overlaps_to_degree_six():
         pairs = critical_pairs(omega_rules(params), 6)
         assert pairs, "expected at least one overlap ambiguity"
         assert all(not residual for _, residual in pairs)
+
+
+def three_loop_critical_pairs(rs, max_degree):
+    """Overlaps of each rule pair both ways, then inclusions, as three loops:
+    the reference enumeration for the one-loop `critical_pairs`."""
+    out = []
+
+    def record(word, left, right):
+        if len(word) <= max_degree:
+            out.append((word, reduce(left - right, rs)))
+
+    rules = list(rs.rules)
+    for i, r1 in enumerate(rules):
+        for j in range(i, len(rules)):
+            r2 = rules[j]
+            l1, l2 = tuple(r1.lhs), tuple(r2.lhs)
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k :] == l2[:k]:
+                    word = l1 + l2[k:]
+                    record(word, _rewrite_at(word, 0, r1), _rewrite_at(word, len(l1) - k, r2))
+                if i != j and l2[len(l2) - k :] == l1[:k]:
+                    word = l2 + l1[k:]
+                    record(word, _rewrite_at(word, 0, r2), _rewrite_at(word, len(l2) - k, r1))
+            if i != j:
+                if len(l2) < len(l1):
+                    inner, outer, rin, rout = l2, l1, r2, r1
+                else:
+                    inner, outer, rin, rout = l1, l2, r1, r2
+                for pos in range(len(outer) - len(inner) + 1):
+                    if outer[pos : pos + len(inner)] == inner:
+                        record(outer, _rewrite_at(outer, 0, rout), _rewrite_at(outer, pos, rin))
+    return out
+
+
+AB = Alphabet(("a", "b"))
+
+
+@st.composite
+def two_letter_rule_sets(draw):
+    # lhs of length 1-4 over two letters, so one lhs often sits inside another
+    lhs_words = draw(
+        st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=4, unique=True)
+    )
+    rules = []
+    for lhs in lhs_words:
+        shorter = st.text("ab", max_size=len(lhs) - 1).map(tuple)
+        rhs = draw(st.dictionaries(shorter, st.integers(-3, 3).filter(bool), max_size=2))
+        rules.append(RewriteRule(tuple(lhs), NcPoly(AB, rhs)))
+    return RuleSet(AB, rules)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(two_letter_rule_sets(), st.integers(4, 8))
+def test_critical_pairs_match_the_three_loop_enumeration(rs, max_degree):
+    def listing(pairs):
+        return sorted((word, str(residual)) for word, residual in pairs)
+
+    expected = listing(three_loop_critical_pairs(rs, max_degree))
+    assert listing(critical_pairs(rs, max_degree)) == expected
 
 
 def test_critical_pairs_requires_degree_at_least_longest_lhs():
