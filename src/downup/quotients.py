@@ -242,6 +242,8 @@ class Summand:
             cleaned.append(rel)
         rules = orient_relations(cleaned)
         for first, second in itertools.combinations(rules, 2):
+            if not (first[1] or second[1]):
+                continue  # two monomials: the S-polynomial is 0
             s_poly = _s_polynomial(first, second)
             if s_poly and reduce_commutative(s_poly, rules):
                 raise DomainError("relations are not a Groebner basis")

@@ -126,9 +126,8 @@ def critical_pairs(rs: RuleSet, max_degree: int) -> list[tuple[Word, NcPoly]]:
     for r1 in rs.rules:
         for r2 in rs.rules:
             l1, l2 = tuple(r1.lhs), tuple(r2.lhs)
-            # r2's lhs starts at p inside r1's; at p = 0 only a strictly
-            # shorter one is an ambiguity, otherwise the entry repeats another
-            # or pairs a rule with itself
+            # r2's lhs starts at p in r1's; at p = 0 only a strictly shorter one
+            # is an ambiguity (else it repeats another entry or is one rule twice)
             for p in range(0 if len(l2) < len(l1) else 1, len(l1)):
                 word = l1 + l2[len(l1) - p :]
                 if len(word) <= max_degree and word[p : p + len(l2)] == l2:
