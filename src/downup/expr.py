@@ -199,10 +199,6 @@ class NcPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def degree(self) -> int:
-        """Largest word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in descending deglex order (deterministic printing order)."""
         return sorted(
@@ -391,8 +387,10 @@ def _digits(text: str, start: int, stop: int) -> int:
 
 
 def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
-    names = sorted(alphabet.letters, key=len, reverse=True)
-    aliases = {"omega": OMEGA} if OMEGA in alphabet else {}
+    letters = {name: name for name in alphabet.letters}
+    if OMEGA in alphabet:
+        letters["omega"] = OMEGA
+    spellings = sorted(letters, key=len, reverse=True)
     tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
@@ -425,28 +423,17 @@ def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        matched = False
-        for alias, letter in aliases.items():
-            if text.startswith(alias, i):
-                tokens.append(_Token("letter", letter, i))
-                i += len(alias)
-                matched = True
+        for spelling in spellings:
+            if text.startswith(spelling, i):
+                tokens.append(_Token("letter", letters[spelling], i))
+                i += len(spelling)
                 break
-        if matched:
-            continue
-        for name in names:
-            if text.startswith(name, i):
-                tokens.append(_Token("letter", name, i))
-                i += len(name)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha():
-            raise UnknownLetterError(
-                f"letter {ch!r} not in alphabet {alphabet.letters}", i
-            )
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            if ch.isalpha():
+                raise UnknownLetterError(
+                    f"letter {ch!r} not in alphabet {alphabet.letters}", i
+                )
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, n))
     return tokens
 

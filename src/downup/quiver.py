@@ -97,18 +97,6 @@ def monomial_abelianization(algebra: MonomialAlgebra) -> AbelianPresentation:
     return AbelianPresentation(tuple(summands))
 
 
-def arrow_tor_table(algebra: MonomialAlgebra) -> dict[tuple[str, str], int]:
-    """Entry (e, e2) counts the arrows with target e and source e2."""
-    table = {
-        (e, e2): 0
-        for e in sorted(algebra.quiver.vertices)
-        for e2 in sorted(algebra.quiver.vertices)
-    }
-    for _, source, target in algebra.quiver.arrows:
-        table[(target, source)] += 1
-    return table
-
-
 def _json_list(data: dict, key: str, default=None) -> list:
     value = data.get(key, default)
     if not isinstance(value, list):

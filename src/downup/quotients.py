@@ -10,8 +10,8 @@ unit multiple of (1 - alpha)du.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -30,7 +30,7 @@ CPoly = dict[Monomial, Fraction]
 # -- quantum plane and quantum Weyl algebra ---------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class QuantumAlgebra:
     """K<x,y> modulo yx - alpha*xy - constant (plane: 0, Weyl: 1)."""
 
@@ -123,10 +123,14 @@ def _divides(lhs: Monomial, mon: Monomial) -> bool:
 
 def orient_relations(relations) -> list[tuple[Monomial, CPoly]]:
     """Monic rewrite rules lhs -> rhs from relation polynomials (lhs = leading monomial)."""
+    return _orient_cleaned(map(c_clean, relations))
+
+
+def _orient_cleaned(relations) -> list[tuple[Monomial, CPoly]]:
+    """`orient_relations` for relations that `c_clean` has already cleaned."""
     rules: list[tuple[Monomial, CPoly]] = []
     seen: set[Monomial] = set()
     for rel in relations:
-        rel = c_clean(rel)
         if not rel:
             raise DomainError("zero relation cannot be oriented")
         lead = max(rel, key=c_key)
@@ -214,16 +218,18 @@ def _canon(rel: CPoly):
     return tuple(sorted(rel.items(), key=lambda kv: c_key(kv[0]), reverse=True))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Summand:
     """Direct summand of an abelianization: the base field or K[vars]/(relations)."""
 
     variables: tuple[str, ...]
     relations: tuple
+    # the (lead, tail) rules of the relations, oriented and checked by `poly`
+    rules: tuple = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def field(cls) -> "Summand":
-        return cls((), ())
+        return cls((), (), ())
 
     @classmethod
     def poly(cls, variables, relations) -> "Summand":
@@ -232,22 +238,23 @@ class Summand:
         The dimensions count standard monomials, which is exact only for a
         Groebner basis, so every S-polynomial must reduce to 0.
         """
+        variables = tuple(variables)
         cleaned = []
         for rel in relations:
             rel = c_clean(rel)
             if not rel:
                 raise DomainError("relation polynomial must be nonzero")
-            if any(len(mon) != len(tuple(variables)) for mon in rel):
+            if any(len(mon) != len(variables) for mon in rel):
                 raise DomainError("relation arity does not match the variables")
             cleaned.append(rel)
-        rules = orient_relations(cleaned)
+        rules = _orient_cleaned(cleaned)
         for first, second in itertools.combinations(rules, 2):
             if not (first[1] or second[1]):
                 continue  # two monomials: the S-polynomial is 0
             s_poly = _s_polynomial(first, second)
             if s_poly and reduce_commutative(s_poly, rules):
                 raise DomainError("relations are not a Groebner basis")
-        return cls(tuple(variables), tuple(_canon(rel) for rel in cleaned))
+        return cls(variables, tuple(_canon(rel) for rel in cleaned), tuple(rules))
 
     @property
     def is_field(self) -> bool:
@@ -275,7 +282,7 @@ class Summand:
         }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AbelianPresentation:
     summands: tuple[Summand, ...]
 
@@ -333,8 +340,7 @@ def presentation_kills(pres: AbelianPresentation, p: CPoly) -> bool:
                 if p.get((0,) * arity, Fraction(0)):
                     return False
             continue
-        rules = orient_relations(summand.relation_polys())
-        if reduce_commutative(p, rules):
+        if reduce_commutative(p, summand.rules):
             return False
     return True
 
@@ -345,10 +351,9 @@ def summand_filtered_dim(summand: Summand, n: int) -> int:
         raise DomainError("degree bound must be nonnegative")
     if summand.is_field:
         return 1
-    rules = orient_relations(summand.relation_polys())
     count = 0
     for mon in monomials_up_to(len(summand.variables), n):
-        if not any(_divides(lhs, mon) for lhs, _ in rules):
+        if not any(_divides(lhs, mon) for lhs, _ in summand.rules):
             count += 1
     return count
 
@@ -357,22 +362,12 @@ def summand_graded_dim(summand: Summand, n: int) -> int:
     """Dimension of the degree-n piece; relations must be homogeneous."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    for rel in summand.relation_polys():
-        degrees = {sum(mon) for mon in rel}
+    for rel in summand.relations:
+        degrees = {sum(mon) for mon, _ in rel}
         if len(degrees) > 1:
             raise DomainError("graded dimensions need homogeneous relations")
     below = summand_filtered_dim(summand, n - 1) if n else 0
     return summand_filtered_dim(summand, n) - below
-
-
-def presentation_filtered_dim(pres: AbelianPresentation, n: int) -> int:
-    """Sum of the summand filtrations.
-
-    For split presentations this equals the filtration of the underlying
-    quotient ring only once n reaches the degree of the splitting idempotent
-    (degree 2 for the shipped split); below that the summand images overlap.
-    """
-    return sum(summand_filtered_dim(s, n) for s in pres.summands)
 
 
 def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:
@@ -390,6 +385,8 @@ def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:
     relations = [c_clean(r) for r in relations]
     if any(not r for r in relations):
         raise DomainError("zero relation")
+    if any(len(mon) != nvars for rel in relations for mon in rel):
+        raise DomainError("relation arity does not match the variables")
     ambient = monomials_up_to(nvars, n + slack)
     column = {mon: pos for pos, mon in enumerate(ambient)}
     low = len(monomials_up_to(nvars, n))

@@ -22,9 +22,6 @@ class RewriteRule:
     lhs: Word
     rhs: NcPoly
 
-    def __str__(self) -> str:
-        return f"{format_word(self.lhs)} -> {self.rhs}"
-
 
 class RuleSet:
     """Finite set of order-compatible rules over one alphabet."""

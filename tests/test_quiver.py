@@ -6,7 +6,6 @@ from downup.errors import DomainError
 from downup.quiver import (
     MonomialAlgebra,
     Quiver,
-    arrow_tor_table,
     load_monomial_algebra,
     monomial_abelianization,
     monomial_algebra_from_json,
@@ -18,6 +17,18 @@ from downup.quotients import span_filtered_dim, summand_graded_dim
 def one_vertex_two_loops():
     quiver = Quiver(("e",), (("d", "e", "e"), ("u", "e", "e")))
     return MonomialAlgebra(quiver, (("d", "d", "u"), ("d", "u", "u")))
+
+
+def arrow_tor_table(algebra):
+    """Entry (e, e2) counts the arrows with target e and source e2."""
+    table = {
+        (e, e2): 0
+        for e in sorted(algebra.quiver.vertices)
+        for e2 in sorted(algebra.quiver.vertices)
+    }
+    for _, source, target in algebra.quiver.arrows:
+        table[(target, source)] += 1
+    return table
 
 
 def test_monomial_downup_abelianization():

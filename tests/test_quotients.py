@@ -12,6 +12,7 @@ from downup.algebra import Params, ideal_power_membership, omega_poly
 from downup.errors import DomainError
 from downup.expr import DU, YX, NcPoly, parse
 from downup.linalg import rank
+from downup.quiver import MonomialAlgebra, Quiver, monomial_abelianization
 from downup.quotients import (
     AbelianPresentation,
     QElem,
@@ -23,7 +24,6 @@ from downup.quotients import (
     commutative_overlap_residuals,
     monomials_up_to,
     orient_relations,
-    presentation_filtered_dim,
     presentation_kills,
     project,
     q_normal_form,
@@ -312,6 +312,67 @@ def test_span_oracle_agrees_with_inclusion_exclusion(case, n, slack):
     assert span_filtered_dim(relations, nvars, n, slack) == expected
 
 
+def test_span_oracle_refuses_a_relation_of_the_wrong_arity():
+    with pytest.raises(DomainError, match="relation arity does not match the variables"):
+        span_filtered_dim([{(1, 1, 1): 1}], 2, 2, 1)
+    with pytest.raises(DomainError, match="relation arity does not match the variables"):
+        span_filtered_dim([{(1,): 1}], 2, 2, 1)
+
+
+def test_counts_read_the_rules_that_poly_oriented(monkeypatch):
+    presentations = {
+        triple: abelianization(Params(*triple))
+        for triple in ((2, 3, 4), (2, 0, 0), (2, 0, 1), (Fraction(1, 3), 2, 0))
+    }
+    quiver = Quiver(("e",), (("d", "e", "e"), ("u", "e", "e")))
+    algebra = MonomialAlgebra(quiver, (("d", "d", "u"), ("d", "u", "u")))
+    presentations["two loops"] = monomial_abelianization(algebra)
+
+    def no_orientation(relations):
+        raise AssertionError("relations oriented again after Summand.poly")
+
+    monkeypatch.setattr("downup.quotients.orient_relations", no_orientation)
+    monkeypatch.setattr("downup.quotients._orient_cleaned", no_orientation)
+    filtered = [1, 3, 6, 8, 10, 12, 14]
+    graded = [1, 2, 3, 2, 2, 2, 2]
+    cubic_monomials = ([filtered], [graded])
+    expected = {
+        (2, 3, 4): ([filtered], [None]),
+        (2, 0, 0): cubic_monomials,
+        (2, 0, 1): ([[1] * 7, [1, 3, 5, 7, 9, 11, 13]], [[1] + [0] * 6, None]),
+        (Fraction(1, 3), 2, 0): cubic_monomials,
+        "two loops": cubic_monomials,
+    }
+    polys = [
+        {(2, 1): 1},
+        {(1, 1): 1, (0, 0): 1},
+        {(1, 1): -1, (0, 0): -1},
+        {(0, 0): 1},
+        {(3, 0): 1},
+        {(2, 1): -1, (1, 0): -1},
+        {(1, 2): 1},
+        {(4, 4): 1},
+    ]
+    monomial_kills = [True, False, False, False, False, False, True, True]
+    kills = {
+        (2, 3, 4): [False] * 5 + [True, False, False],
+        (2, 0, 1): [False] * 5 + [True, False, False],
+    }
+    for key, pres in presentations.items():
+        filtered_dims, graded_dims = expected[key]
+        for summand, filtered, graded in zip(pres.summands, filtered_dims, graded_dims):
+            hash(summand)
+            assert "rules" not in repr(summand)
+            assert [summand_filtered_dim(summand, n) for n in range(7)] == filtered, key
+            if graded is None:
+                with pytest.raises(DomainError, match="homogeneous"):
+                    summand_graded_dim(summand, 2)
+            else:
+                assert [summand_graded_dim(summand, n) for n in range(7)] == graded, key
+        killed = [presentation_kills(pres, p) for p in polys]
+        assert killed == kills.get(key, monomial_kills), key
+
+
 def test_split_presentation_matches_the_unsplit_ideal():
     # K (+) K[d,u]/(-du - 1) at (2,0,1) against the raw two-relation ideal.
     # The splitting idempotent has degree 2, so the summand-sum only matches
@@ -326,7 +387,8 @@ def test_split_presentation_matches_the_unsplit_ideal():
     assert true_dims == [1, 3, 6, 8, 10, 12, 14]
     assert [span_filtered_dim(raw, 2, n, 6) for n in range(7)] == true_dims
     for n in range(2, 7):
-        assert presentation_filtered_dim(pres, n) == true_dims[n] == 2 * n + 2
+        summed = sum(summand_filtered_dim(s, n) for s in pres.summands)
+        assert summed == true_dims[n] == 2 * n + 2
 
 
 def test_summand_validation():
