@@ -10,9 +10,12 @@ homology dimensions form the Tor profile.
 Each differential is written once, as the generator images in
 `_generator_image`; `apply_d1/2/3` extend them bilinearly for any parameters,
 and `tor_matrices` collapses those images mechanically, for any beta.  That
-is the reference.  `tor_profile` evaluates the hand-derived
-`closed_form_matrices` instead: stated for beta = 0 only, they cost a few
-multiplications where the reference normalizes every leg of every image.
+is the reference.  `BimoduleElement.build` normalizes only the legs that
+are not already PBW words u^i (du)^j d^k; every leg of a generator image is
+one, so `tor_matrices` normalizes nothing.  `tor_profile` evaluates the
+hand-derived `closed_form_matrices` instead: stated for beta = 0 only, they
+cost a few multiplications where the reference builds and collapses
+bimodule elements.
 
 Convention: in the collapsed complex the left tensor legs are evaluated with
 T2's scalars and the right legs with T1's.  This is the assignment under
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import Params, pbw_normal_form
 from .errors import DomainError
-from .expr import DU, NcPoly, Word, as_scalar, format_word, render_terms
+from .expr import DU, PBW, NcPoly, Word, as_scalar, format_word, render_terms
 from .linalg import rank
 
 STAGE_TAGS = {
@@ -62,10 +65,11 @@ class OneDimModule:
         return cls(*parts)
 
     def satisfies(self, params: Params) -> bool:
-        """Both defining relations act by zero on (delta, mu)."""
-        s = 1 - params.alpha - params.beta
-        slack = s * self.delta * self.mu - params.gamma
-        return self.delta * slack == 0 and self.mu * slack == 0
+        """Both defining relations act by zero on (delta, mu): they act by
+        delta*slack and mu*slack, slack = (1 - alpha - beta)*delta*mu - gamma."""
+        if not (self.delta or self.mu):
+            return True
+        return (1 - params.alpha - params.beta) * self.delta * self.mu == params.gamma
 
     def __str__(self) -> str:
         return f"({self.delta}, {self.mu})"
@@ -98,14 +102,29 @@ class BimoduleElement:
 
     @classmethod
     def build(cls, stage: int, parts, params: Params) -> "BimoduleElement":
-        """Assemble from (coeff, left word, tag, right word), normalizing both words."""
+        """Assemble from (coeff, left word, tag, right word), expanding both words.
+
+        A word that is already a PBW word u^i (du)^j d^k is its own normal form;
+        every other word goes through `pbw_normal_form`, once per distinct word.
+        """
+        normal_forms: dict[Word, dict[Word, Fraction]] = {}
+
+        def expand(word: Word) -> dict[Word, Fraction]:
+            nf = normal_forms.get(word)
+            if nf is None:
+                if PBW.key(word) is None:
+                    nf = pbw_normal_form(NcPoly.monomial(DU, word), params).to_ncpoly().terms
+                else:
+                    nf = {word: Fraction(1)}
+                normal_forms[word] = nf
+            return nf
+
         terms: dict[tuple[Word, str, Word], Fraction] = {}
         for coeff, left, tag, right in parts:
             coeff = as_scalar(coeff)
             if not coeff:
                 continue
-            left_nf = pbw_normal_form(NcPoly.monomial(DU, left), params).to_ncpoly().terms
-            right_nf = pbw_normal_form(NcPoly.monomial(DU, right), params).to_ncpoly().terms
+            left_nf, right_nf = expand(left), expand(right)
             for lword, lc in left_nf.items():
                 for rword, rc in right_nf.items():
                     key = (lword, tag, rword)
@@ -248,10 +267,11 @@ def closed_form_matrices(t1: OneDimModule, t2: OneDimModule, params: Params):
     a, g = params.alpha, params.gamma
     d1, m1 = t1.delta, t1.mu
     d2, m2 = t2.delta, t2.mu
+    s, x, y = 1 - a, m1 - a * m2, d2 - a * d1
     f0 = [[d2 - d1, m2 - m1]]
     f1 = [
-        [(1 - a) * d1 * m1 + d2 * (m1 - a * m2) - g, m1 * (m1 - a * m2)],
-        [d2 * (d2 - a * d1), (1 - a) * d2 * m2 + m1 * (d2 - a * d1) - g],
+        [s * d1 * m1 + d2 * x - g, m1 * x],
+        [d2 * y, s * d2 * m2 + m1 * y - g],
     ]
     f2 = [[-m1], [d2]]
     return f0, f1, f2
@@ -260,15 +280,17 @@ def closed_form_matrices(t1: OneDimModule, t2: OneDimModule, params: Params):
 def tor_profile(t1: OneDimModule, t2: OneDimModule, params: Params) -> TorProfile:
     """Homology dimensions of 0 -> K -> K^2 -> K^2 -> K -> 0 by exact ranks.
 
-    Evaluates `closed_form_matrices`, hence the beta = 0 gate.
+    Evaluates `closed_form_matrices`, hence the beta = 0 gate.  The one-row
+    f0 and the one-column f2 have rank 1 exactly when an entry is nonzero.
     """
     if params.beta != 0:
         raise DomainError("tor_profile requires beta = 0; use tor_matrices otherwise")
-    for name, module in (("t1", t1), ("t2", t2)):
+    checks = (("t1", t1),) if t2 == t1 else (("t1", t1), ("t2", t2))
+    for name, module in checks:
         if not module.satisfies(params):
             raise DomainError(f"{name} = {module} is not a valid one-dimensional module")
     f0, f1, f2 = closed_form_matrices(t1, t2, params)
-    r0, r1, r2 = rank(f0), rank(f1), rank(f2)
+    r0, r1, r2 = int(any(f0[0])), rank(f1), int(any(row[0] for row in f2))
     return TorProfile((1 - r0, 2 - r0 - r1, 2 - r1 - r2, 1 - r2))
 
 

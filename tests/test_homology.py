@@ -7,12 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from downup.algebra import Params
+from downup.algebra import Params, pbw_normal_form
 from downup.errors import DomainError
+from downup.expr import DU, PBW, NcPoly
 from downup.homology import (
+    STAGE_TAGS,
     BimoduleElement,
     OneDimModule,
     TorProfile,
+    _generator_image,
     apply_d1,
     apply_d2,
     apply_d3,
@@ -22,6 +25,7 @@ from downup.homology import (
     tor_profile,
     tor1_bound,
 )
+from downup.linalg import rank
 
 
 def random_params(rng, beta_zero=False):
@@ -319,3 +323,105 @@ def test_element_rendering():
     assert str(fractional) == "3/2*u(x)d(x)d^2"
     negative = BimoduleElement(1, {((), "u", ()): Fraction(-2), (("d",), "d", ()): Fraction(1)})
     assert str(negative) == "-2*1(x)u(x)1 + d(x)d(x)1"
+
+
+def build_normalizing_every_leg(stage, parts, params):
+    """`BimoduleElement.build` as it reads when every leg goes through
+    `pbw_normal_form`, PBW words included: the reference for the short cut."""
+    terms = {}
+    for coeff, left, tag, right in parts:
+        coeff = Fraction(coeff)
+        if not coeff:
+            continue
+        left_nf = pbw_normal_form(NcPoly.monomial(DU, left), params).to_ncpoly().terms
+        right_nf = pbw_normal_form(NcPoly.monomial(DU, right), params).to_ncpoly().terms
+        for lword, lc in left_nf.items():
+            for rword, rc in right_nf.items():
+                key = (lword, tag, rword)
+                terms[key] = terms.get(key, Fraction(0)) + coeff * lc * rc
+    return BimoduleElement(stage, terms)
+
+
+LEGS = st.lists(st.sampled_from("du"), max_size=4).map(tuple)
+
+
+@st.composite
+def build_cases(draw):
+    """A triple (beta != 0 allowed), a stage and parts whose legs have length
+    0-4, so legs that are PBW words and legs that are not both occur."""
+    p = Params(draw(RATIONALS), draw(RATIONALS), draw(RATIONALS))
+    stage = draw(st.integers(0, 3))
+    part = st.tuples(
+        st.one_of(st.just(Fraction(0)), RATIONALS),
+        LEGS,
+        st.sampled_from(STAGE_TAGS[stage]),
+        LEGS,
+    )
+    return p, stage, draw(st.lists(part, max_size=6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(build_cases())
+def test_build_matches_normalizing_every_leg(case):
+    p, stage, parts = case
+    assert BimoduleElement.build(stage, parts, p) == build_normalizing_every_leg(stage, parts, p)
+
+
+def test_generator_images_have_only_pbw_legs():
+    rng = random.Random(43)
+    for p in [Params(0, 0, 0), Params(2, 0, 1)] + [random_params(rng) for _ in range(10)]:
+        for stage in (1, 2, 3):
+            for tag in STAGE_TAGS[stage]:
+                for _, left, _, right in _generator_image(stage, tag, p):
+                    assert PBW.key(left) is not None and PBW.key(right) is not None
+
+
+def test_profile_names_the_first_invalid_module():
+    p = Params(2, 0, 1)
+    bad, good = OneDimModule(1, 1), OneDimModule(1, -1)
+    cases = [
+        (bad, bad, "t1 = (1, 1) is not a valid one-dimensional module"),
+        (bad, good, "t1 = (1, 1) is not a valid one-dimensional module"),
+        (good, bad, "t2 = (1, 1) is not a valid one-dimensional module"),
+    ]
+    for t1, t2, message in cases:
+        with pytest.raises(DomainError) as caught:
+            tor_profile(t1, t2, p)
+        assert str(caught.value) == message
+
+
+@st.composite
+def modules_of_every_kind(draw):
+    """A triple and a module that is the origin, on an axis, on the hyperbola
+    s*delta*mu = gamma, or an arbitrary (mostly invalid) pair."""
+    p = Params(draw(st.one_of(st.just(Fraction(1)), RATIONALS)),
+               draw(st.one_of(st.just(Fraction(0)), RATIONALS)),
+               draw(st.one_of(st.just(Fraction(0)), RATIONALS)))
+    s = 1 - p.alpha - p.beta
+    kind = draw(st.sampled_from(("origin", "d-axis", "u-axis", "hyperbola", "any")))
+    delta, mu = draw(NONZERO), draw(NONZERO)
+    if kind == "origin":
+        return p, OneDimModule(0, 0)
+    if kind == "d-axis":
+        return p, OneDimModule(delta, 0)
+    if kind == "u-axis":
+        return p, OneDimModule(0, mu)
+    if kind == "hyperbola" and s:
+        return p, OneDimModule(delta, p.gamma / (s * delta))
+    return p, OneDimModule(delta, mu)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(modules_of_every_kind())
+def test_satisfies_is_the_two_product_definition(case):
+    p, t = case
+    slack = (1 - p.alpha - p.beta) * t.delta * t.mu - p.gamma
+    assert t.satisfies(p) == (t.delta * slack == 0 and t.mu * slack == 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(module_pairs())
+def test_profile_dims_are_the_ranks_of_the_closed_forms(case):
+    p, t1, t2 = case
+    r0, r1, r2 = (rank(f) for f in closed_form_matrices(t1, t2, p))
+    assert tor_profile(t1, t2, p).dims == (1 - r0, 2 - r0 - r1, 2 - r1 - r2, 1 - r2)
