@@ -180,23 +180,17 @@ def reduce_commutative(p: CPoly, rules) -> CPoly:
                 del current[mon]
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    out = []
-    for cuts in itertools.combinations(range(degree + nvars - 1), nvars - 1):
-        prev = -1
-        mon = []
-        for cut in cuts:
-            mon.append(cut - prev - 1)
-            prev = cut
-        mon.append(degree + nvars - 2 - prev)
-        out.append(tuple(mon))
-    return out
-
-
 def monomials_up_to(nvars: int, max_degree: int) -> list[Monomial]:
     out = []
     for total in range(max_degree + 1):
-        out += monomials_of_degree(nvars, total)
+        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
+            prev = -1
+            mon = []
+            for cut in cuts:
+                mon.append(cut - prev - 1)
+                prev = cut
+            mon.append(total + nvars - 2 - prev)
+            out.append(tuple(mon))
     return out
 
 
@@ -351,20 +345,17 @@ def presentation_kills(pres: AbelianPresentation, p: CPoly) -> bool:
     return True
 
 
-def _standard_count(summand: Summand, monomials) -> int:
-    """How many of the monomials no rule's leading monomial divides."""
-    return sum(
-        not any(_divides(lhs, mon) for lhs, _ in summand.rules) for mon in monomials
-    )
-
-
 def summand_filtered_dim(summand: Summand, n: int) -> int:
     """Dimension of the image of polynomials of total degree <= n."""
     if n < 0:
         raise DomainError("degree bound must be nonnegative")
     if summand.is_field:
         return 1
-    return _standard_count(summand, monomials_up_to(len(summand.variables), n))
+    count = 0
+    for mon in monomials_up_to(len(summand.variables), n):
+        if not any(_divides(lhs, mon) for lhs, _ in summand.rules):
+            count += 1
+    return count
 
 
 def summand_graded_dim(summand: Summand, n: int) -> int:
@@ -375,9 +366,8 @@ def summand_graded_dim(summand: Summand, n: int) -> int:
         degrees = {sum(mon) for mon, _ in rel}
         if len(degrees) > 1:
             raise DomainError("graded dimensions need homogeneous relations")
-    if summand.is_field:
-        return int(n == 0)
-    return _standard_count(summand, monomials_of_degree(len(summand.variables), n))
+    below = summand_filtered_dim(summand, n - 1) if n else 0
+    return summand_filtered_dim(summand, n) - below
 
 
 def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:

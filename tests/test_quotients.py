@@ -22,7 +22,6 @@ from downup.quotients import (
     abelianization,
     c_str,
     commutative_overlap_residuals,
-    monomials_of_degree,
     monomials_up_to,
     orient_relations,
     presentation_kills,
@@ -268,25 +267,6 @@ def test_graded_dimensions_of_the_monomial_case():
     assert [summand_graded_dim(field, n) for n in range(5)] == [1, 0, 0, 0, 0]
     assert [summand_filtered_dim(field, n) for n in range(5)] == [1, 1, 1, 1, 1]
 
-
-
-def test_graded_dimension_is_the_difference_of_filtered_dimensions():
-    for nvars in (1, 2, 3):
-        for n in range(7):
-            assert monomials_of_degree(nvars, n) == [m for m in monomials_up_to(nvars, n)
-                                                     if sum(m) == n]
-    quiver = Quiver(("e",), (("a", "e", "e"), ("b", "e", "e"), ("c", "e", "e")))
-    three_loops = MonomialAlgebra(quiver, (("a", "a", "b"), ("b", "c"), ("c", "a", "c", "a")))
-    summands = [
-        Summand.field(),
-        abelianization(Params(3, 0, 0)).summands[0],
-        abelianization(Params(1, 0, 0)).summands[0],
-        *monomial_abelianization(three_loops).summands,
-    ]
-    for summand in summands:
-        filtered = [summand_filtered_dim(summand, n) for n in range(9)]
-        graded = [summand_graded_dim(summand, n) for n in range(9)]
-        assert graded == [filtered[0]] + [b - a for a, b in zip(filtered, filtered[1:])]
 
 def test_filtered_dimensions_match_the_span_oracle():
     # general-beta presentation against the brute-force span computation
