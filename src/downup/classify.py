@@ -60,8 +60,7 @@ def _gamma_class_matches(p: Params, q: Params) -> bool:
 
 
 def _rescaling_detail(p: Params, q: Params) -> str:
-    if p.gamma == q.gamma:
-        return "equal gamma"
+    # p != q with equal (alpha, beta), and both gamma are nonzero
     return f"gamma scale {p.gamma / q.gamma}"
 
 

@@ -13,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
@@ -52,16 +51,6 @@ class _Outcome(NamedTuple):
 
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
 
 
 def _invariant_text(invariants: dict) -> str:
@@ -335,8 +324,8 @@ def main(argv=None) -> int:
     if getattr(args, "json", False):
         envelope = {
             "subcommand": args.command if args.command != "classify" else f"classify {args.mode}",
-            "inputs": {key: _jsonable(value) for key, value in _inputs_of(args).items()},
-            "result": _jsonable(outcome.result),
+            "inputs": _inputs_of(args),
+            "result": outcome.result,
             "provenance": outcome.provenance,
         }
         print(json.dumps(envelope, sort_keys=True))

@@ -312,14 +312,11 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
             if value or not nonzero:
                 return value
 
-    found: list[OneDimModule] = [OneDimModule(0, 0)]
-    seen = {(Fraction(0), Fraction(0))}
+    # (delta, mu) keys in the order they were first drawn
+    found = {(Fraction(0), Fraction(0)): None}
 
     def push(delta, mu):
-        key = (as_scalar(delta), as_scalar(mu))
-        if key not in seen:
-            seen.add(key)
-            found.append(OneDimModule(*key))
+        found.setdefault((as_scalar(delta), as_scalar(mu)))
 
     if g == 0:
         push(1, 0)
@@ -327,7 +324,7 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
         if s == 0:
             push(1, 1)
     elif s == 0:
-        return found
+        return [OneDimModule(0, 0)]
     else:
         push(1, g / s)
     attempts = 0
@@ -337,12 +334,12 @@ def enumerate_one_dim(params: Params, samples: int) -> list[OneDimModule]:
             push(delta, g / (s * delta))
         elif s == 0:
             push(small(), small())
-        elif rng.random() < Fraction(1, 2):
+        elif rng.random() < 0.5:
             push(small(nonzero=True), 0)
         else:
             push(0, small(nonzero=True))
         attempts += 1
-    return found[:samples]
+    return [OneDimModule(*key) for key in list(found)[:samples]]
 
 
 def tor1_bound(params: Params, samples: int) -> int:

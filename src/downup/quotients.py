@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -126,6 +127,16 @@ def orient_relations(relations) -> list[tuple[Monomial, CPoly]]:
     return _orient_cleaned(map(c_clean, relations))
 
 
+def _clean_relations(relations, nvars: int) -> list[CPoly]:
+    """The relations through `c_clean`, each nonzero and in nvars variables."""
+    cleaned = [c_clean(rel) for rel in relations]
+    if not all(cleaned):
+        raise DomainError("relation polynomial must be nonzero")
+    if any(len(mon) != nvars for rel in cleaned for mon in rel):
+        raise DomainError("relation arity does not match the variables")
+    return cleaned
+
+
 def _orient_cleaned(relations) -> list[tuple[Monomial, CPoly]]:
     """`orient_relations` for relations that `c_clean` has already cleaned."""
     rules: list[tuple[Monomial, CPoly]] = []
@@ -181,17 +192,9 @@ def reduce_commutative(p: CPoly, rules) -> CPoly:
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[Monomial]:
-    out = []
-    for total in range(max_degree + 1):
-        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            mon = []
-            for cut in cuts:
-                mon.append(cut - prev - 1)
-                prev = cut
-            mon.append(total + nvars - 2 - prev)
-            out.append(tuple(mon))
-    return out
+    """Exponent vectors of total degree <= max_degree, by degree, then lexicographically."""
+    cube = itertools.product(range(max_degree + 1), repeat=nvars)
+    return sorted((mon for mon in cube if sum(mon) <= max_degree), key=sum)
 
 
 def commutative_overlap_residuals(rules, nvars: int, max_degree: int):
@@ -239,14 +242,7 @@ class Summand:
         Groebner basis, so every S-polynomial must reduce to 0.
         """
         variables = tuple(variables)
-        cleaned = []
-        for rel in relations:
-            rel = c_clean(rel)
-            if not rel:
-                raise DomainError("relation polynomial must be nonzero")
-            if any(len(mon) != len(variables) for mon in rel):
-                raise DomainError("relation arity does not match the variables")
-            cleaned.append(rel)
+        cleaned = _clean_relations(relations, len(variables))
         rules = _orient_cleaned(cleaned)
         for first, second in itertools.combinations(rules, 2):
             if not (first[1] or second[1]):
@@ -335,12 +331,9 @@ def presentation_kills(pres: AbelianPresentation, p: CPoly) -> bool:
     for summand in pres.summands:
         if summand.is_field:
             # the field summand is evaluation at the origin
-            if p:
-                arity = len(next(iter(p)))
-                if p.get((0,) * arity, Fraction(0)):
-                    return False
-            continue
-        if reduce_commutative(p, summand.rules):
+            if any(not any(mon) for mon in p):
+                return False
+        elif reduce_commutative(p, summand.rules):
             return False
     return True
 
@@ -382,14 +375,10 @@ def span_filtered_dim(relations, nvars: int, n: int, slack: int) -> int:
     """
     if n < 0 or slack < 0:
         raise DomainError("degree and slack must be nonnegative")
-    relations = [c_clean(r) for r in relations]
-    if any(not r for r in relations):
-        raise DomainError("zero relation")
-    if any(len(mon) != nvars for rel in relations for mon in rel):
-        raise DomainError("relation arity does not match the variables")
+    relations = _clean_relations(relations, nvars)
     ambient = monomials_up_to(nvars, n + slack)
     column = {mon: pos for pos, mon in enumerate(ambient)}
-    low = len(monomials_up_to(nvars, n))
+    low = math.comb(n + nvars, nvars)
     products = []
     for rel in relations:
         for mon in monomials_up_to(nvars, n + slack - max(sum(m) for m in rel)):

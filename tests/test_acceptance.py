@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from downup import verify
 from downup.cli import main
 from downup.verify import run_all
 
@@ -85,3 +86,15 @@ def test_criterion_9_verify_command(capsys):
     assert sum(1 for line in lines if line.startswith("PASS ")) == 8
     assert all(not line.startswith("FAIL ") for line in lines)
     assert elapsed < 300.0
+
+
+def test_unknown_and_failing_checks(monkeypatch):
+    with pytest.raises(KeyError, match="unknown check 'nope'"):
+        verify.run_check("nope")
+
+    def failing():
+        raise AssertionError("forced failure")
+
+    monkeypatch.setattr(verify, "CHECKS", [("pbw-normal-words", failing)] + verify.CHECKS[1:])
+    result = verify.run_check("pbw-normal-words")
+    assert (result.passed, result.detail) == (False, "AssertionError: forced failure")

@@ -10,6 +10,7 @@ from downup.algebra import (
     OmegaElem,
     Params,
     PBWElem,
+    _power,
     bimod_action_formula,
     bimod_class,
     downup_rules,
@@ -24,7 +25,7 @@ from downup.algebra import (
     pbw_to_omega,
 )
 from downup.errors import DomainError
-from downup.expr import DU, DWU, OMEGA, NcPoly, parse
+from downup.expr import DU, DWU, OMEGA, YX, NcPoly, parse
 from downup.quotients import QuantumAlgebra, q_rules
 
 
@@ -164,6 +165,14 @@ def test_a_large_du_power_in_the_omega_basis():
     coords = pbw_to_omega(element, params)
     assert len(coords.terms) == 41 * 42 // 2
     assert omega_to_pbw(coords, params) == element
+
+
+def test_a_cold_du_power_past_64_warms_every_64th_power_first():
+    # the one call in the suite that reaches the every-64th-power loop of `_power_nf`
+    _power.cache_clear()
+    coords = pbw_to_omega(PBWElem({(0, 65, 0): 1}), Params(2, 0, 1))
+    assert coords.terms[(0, 65, 0)] == 1
+    assert len(coords.terms) == 66 * 67 // 2 == 2211
 
 
 def test_rule_caches_are_bounded():
@@ -311,3 +320,18 @@ def test_rendering_of_container_elements():
     assert str(OmegaElem({(1, 2, 0): 1})) == "u*ω^2"
     assert str(BimodClass({(0, 1): 3, (2, 0): -1})) == "-[u^2*ω] + 3*[ω*d]"
     assert str(BimodClass({})) == "0"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: pbw_normal_form(parse("x", YX), Params(2, 0, 1)),
+                     "expected a polynomial over the letters d, u", id="pbw-normal-form"),
+        pytest.param(lambda: omega_coords(parse("x", YX), Params(2, 0, 1)),
+                     "expected a polynomial over d, u or d, omega, u", id="omega-coords"),
+    ],
+)
+def test_wrong_alphabets_are_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

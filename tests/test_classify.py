@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downup.algebra import Params
 from downup.classify import (
@@ -84,6 +86,44 @@ def test_verdicts_are_reflexive_and_symmetric_on_a_grid():
         assert forward.isomorphic == backward.isomorphic
         if forward.isomorphic:
             assert forward.detail and backward.detail
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+RATIONALS = st.fractions(-4, 4, max_denominator=4)
+NONZERO = RATIONALS.filter(bool)
+MAYBE_ZERO = st.one_of(st.just(0), RATIONALS)
+PARAMS = st.builds(Params, RATIONALS, MAYBE_ZERO, MAYBE_ZERO)
+
+
+def isomorphic_move(p, scale):
+    """A gamma rescaling by a nonzero scale, or the swap (scale None) when beta != 0."""
+    if scale is None:
+        return Params(-p.alpha / p.beta, 1 / p.beta, p.gamma) if p.beta else p
+    return Params(p.alpha, p.beta, p.gamma * scale)
+
+
+@PROPERTY
+@given(PARAMS, st.lists(st.one_of(st.none(), NONZERO), min_size=2, max_size=4), PARAMS)
+def test_verdicts_are_transitive_along_rescalings_and_swaps(p, scales, other):
+    chain = [p]
+    for scale in scales:
+        chain.append(isomorphic_move(chain[-1], scale))
+    assert all(iso_verdict(q, r).isomorphic for q, r in zip(chain, chain[1:]))
+    assert all(iso_verdict(p, r).isomorphic for r in chain)
+    # an isomorphism class is one class: every member gets the same verdict against any other
+    assert len({iso_verdict(r, other).isomorphic for r in chain}) == 1
+
+
+@PROPERTY
+@given(PARAMS, NONZERO)
+def test_gamma_rescaling_names_its_scale(p, scale):
+    q = isomorphic_move(p, scale)
+    verdict = iso_verdict(p, q)
+    if p == q:
+        assert verdict.rule == "identical parameters"
+    else:
+        assert verdict.rule == "gamma rescaling"
+        assert verdict.detail == f"gamma scale {1 / scale}"
 
 
 def test_monomiality_is_the_zero_triple_only():

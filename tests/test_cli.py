@@ -131,6 +131,38 @@ def test_domain_errors_exit_one(capsys):
     assert (code, out, err) == (1, "", "error: number has too many digits (at position 0)\n")
 
 
+def test_classify_monomial(capsys):
+    assert run_cli(capsys, "classify", "monomial", "--params", "0,0,0") == (0, "true\n", "")
+    assert run_cli(capsys, "classify", "monomial", "--params", "1,0,0") == (0, "false\n", "")
+    code, out, _ = run_cli(capsys, "--json", "classify", "monomial", "--params", "0,0,0")
+    assert code == 0
+    assert json.loads(out) == {
+        "subcommand": "classify monomial",
+        "inputs": {"params": "0,0,0"},
+        "result": True,
+        "provenance": "monomiality criterion",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, reason",
+    [
+        pytest.param(["torbound", "--params", "2,0,1", "--samples", "0"], "", 1,
+                     "error: samples must be a positive integer", id="no-samples"),
+        pytest.param(["bimod", "--params", "2,0,1", "--formula", "1,x,left"], "", 2,
+                     "--formula indices must be integers", id="formula-index-not-an-integer"),
+        pytest.param(["bimod", "--params", "2,0,1"], "", 2,
+                     "bimod needs an expression or --formula", id="bimod-without-expression"),
+        pytest.param(["quiver-abel", "-"], '{"vertices": ["e"], "arrows": [{"id": "d"}]}', 1,
+                     "needs id/source/target", id="arrow-object-without-target"),
+    ],
+)
+def test_rejected_calls_exit_with_their_code(capsys, monkeypatch, argv, stdin, code, reason):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert (exit_code, out) == (code, "") and reason in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["nf", "--params", "2,0,1"])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from downup.algebra import BimodClass, OmegaElem, PBWElem
 from downup.errors import DomainError, ParseError, UnknownLetterError
 from downup.expr import (
-    CLASSES, DU, DWU, OMEGA, OMEGA_BASIS, PBW, QUANTUM, Alphabet, NcPoly, format_word, parse,
+    CLASSES, DU, DWU, OMEGA, OMEGA_BASIS, PBW, QUANTUM, Alphabet, NcPoly, as_scalar, format_word,
+    parse,
 )
 from downup.quotients import QElem
 
@@ -211,3 +212,33 @@ def test_basis_keys_round_trip_and_bases_never_compare_equal():
     assert CLASSES.word((2, 0)) == ("u", "u", OMEGA)
     assert PBWElem({(0, 0, 0): 1}) != OmegaElem({(0, 0, 0): 1})
     assert QElem({(1, 1): 1}) != BimodClass({(1, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: parse("1/", DU), ParseError,
+                     "missing denominator (at position 1)", id="slash-at-end"),
+        pytest.param(lambda: parse("1/ 2", DU), ParseError,
+                     "missing denominator (at position 1)", id="space-after-slash"),
+        pytest.param(lambda: parse("1/0", DU), ParseError,
+                     "zero denominator (at position 2)", id="zero-denominator"),
+        pytest.param(lambda: parse("(d", DU), ParseError,
+                     "expected ')' (at position 2)", id="unclosed-paren"),
+        pytest.param(lambda: parse("d)", DU), ParseError,
+                     "unexpected trailing input ')' (at position 1)", id="stray-paren"),
+        pytest.param(lambda: parse("d^1/2", DU), ParseError,
+                     "exponent must be a nonnegative integer (at position 2)",
+                     id="rational-exponent"),
+        pytest.param(lambda: as_scalar(1.5), DomainError,
+                     "cannot interpret 1.5 as an exact scalar", id="float-scalar"),
+        pytest.param(lambda: Alphabet(("d", "d")), DomainError,
+                     "duplicate letters in alphabet ('d', 'd')", id="duplicate-letter"),
+        pytest.param(lambda: D ** -1, DomainError,
+                     "exponent must be a nonnegative integer, got -1", id="negative-power"),
+    ],
+)
+def test_rejections_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -425,3 +425,18 @@ def test_profile_dims_are_the_ranks_of_the_closed_forms(case):
     p, t1, t2 = case
     r0, r1, r2 = (rank(f) for f in closed_form_matrices(t1, t2, p))
     assert tor_profile(t1, t2, p).dims == (1 - r0, 2 - r0 - r1, 2 - r1 - r2, 1 - r2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: enumerate_one_dim(Params(2, 0, 1), 0),
+                     "samples must be a positive integer", id="no-samples"),
+        pytest.param(lambda: TorProfile((1, -1, 0, 0)),
+                     "profile needs four nonnegative dimensions", id="negative-dimension"),
+    ],
+)
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

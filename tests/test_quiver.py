@@ -171,3 +171,18 @@ def test_summand_count_matches_vertex_count():
     pres = monomial_abelianization(MonomialAlgebra(quiver, (("p", "p"),)))
     assert len(pres.summands) == len(quiver.vertices)
     assert str(pres) == "K[X_p]/(X_p^2) (+) K[X_q] (+) K"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: monomial_algebra_from_json([]),
+                     "quiver description must be a JSON object", id="not-an-object"),
+        pytest.param(lambda: one_vertex_two_loops().quiver.loops_at("nope"),
+                     "unknown vertex 'nope'", id="unknown-vertex"),
+    ],
+)
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

@@ -1,6 +1,7 @@
 """Tests for quantum quotients and abelianizations."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -404,3 +405,46 @@ def test_summand_validation():
         Summand.poly(("d", "u"), [{(1, 1): 1, (0, 0): -1}, {(1, 1): 2, (1, 0): 1}])
     assert Summand.field().is_field
     assert str(AbelianPresentation((Summand.field(), Summand.field()))) == "K (+) K"
+
+
+MONOMIAL = Summand.poly(("d", "u"), [{(1, 1): 1}])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: span_filtered_dim([{(1, 0): 0}], 2, 1, 1),
+                     "relation polynomial must be nonzero", id="span-zero-relation"),
+        pytest.param(lambda: span_filtered_dim([{(1, 0): 1}], 2, -1, 1),
+                     "degree and slack must be nonnegative", id="span-negative-degree"),
+        pytest.param(lambda: span_filtered_dim([{(1, 0): 1}], 2, 1, -1),
+                     "degree and slack must be nonnegative", id="span-negative-slack"),
+        pytest.param(lambda: Summand.poly(("d", "u"), [{(1, 1): 0}]),
+                     "relation polynomial must be nonzero", id="summand-zero-relation"),
+        pytest.param(lambda: summand_filtered_dim(MONOMIAL, -1),
+                     "degree bound must be nonnegative", id="filtered-negative-degree"),
+        pytest.param(lambda: summand_graded_dim(MONOMIAL, -1),
+                     "degree must be nonnegative", id="graded-negative-degree"),
+        pytest.param(lambda: project(parse("x", YX), Params(2, 0, 1)),
+                     "expected a polynomial over the letters d, u", id="project-alphabet"),
+        pytest.param(lambda: q_normal_form(parse("d", DU), quantum_plane(2)),
+                     "expected a polynomial over the letters x, y", id="qnf-alphabet"),
+    ],
+)
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_monomials_come_by_degree_then_lexicographically():
+    for nvars, degree in itertools.product(range(1, 5), range(9)):
+        monomials = monomials_up_to(nvars, degree)
+        assert len(set(monomials)) == len(monomials) == math.comb(degree + nvars, nvars)
+        assert monomials == sorted(monomials, key=lambda mon: (sum(mon), mon))
+        assert all(len(mon) == nvars and sum(mon) <= degree for mon in monomials)
+
+
+def test_monomial_lists_of_small_cases():
+    assert monomials_up_to(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert monomials_up_to(3, 1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
