@@ -191,7 +191,7 @@ def omega_power_nf(params: Params, j: int) -> NcPoly:
     return _power_nf(params, _next_omega_power, j)
 
 
-def _shifted_powers(terms, power_coords) -> dict:
+def _shifted_powers(basis, terms, power_coords) -> Coords:
     """Sum of coeff * u^i base^j d^k over the (i, j, k) terms, as coordinates.
 
     power_coords(j) yields the coordinates of nf(base^j); u^i on the left and
@@ -202,7 +202,7 @@ def _shifted_powers(terms, power_coords) -> dict:
         for (a, b, l), c in power_coords(j):
             key = (a + i, b, l + k)
             out[key] = out.get(key, 0) + coeff * c
-    return out
+    return Coords._trusted(basis, {key: c for key, c in out.items() if c})
 
 
 def pbw_to_omega(p: Coords, params: Params) -> Coords:
@@ -211,9 +211,9 @@ def pbw_to_omega(p: Coords, params: Params) -> Coords:
     Each term shifts the memoised omega-basis coordinates of (du)^j.
     """
     _require_beta_zero(params)
-    return OmegaElem(_shifted_powers(
-        p.terms, lambda j: _power_nf(params, _next_du_power, j).items()
-    ))
+    return _shifted_powers(
+        OMEGA_BASIS, p.terms, lambda j: _power_nf(params, _next_du_power, j).items()
+    )
 
 
 def omega_to_pbw(q: Coords, params: Params) -> Coords:
@@ -222,9 +222,9 @@ def omega_to_pbw(q: Coords, params: Params) -> Coords:
     Each term shifts the PBW coordinates of the memoised nf(omega^j).
     """
     _require_beta_zero(params)
-    return PBWElem(_shifted_powers(q.terms, lambda j: (
+    return _shifted_powers(PBW, q.terms, lambda j: (
         (PBW.key(word), c) for word, c in omega_power_nf(params, j).terms.items()
-    )))
+    ))
 
 
 def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:

@@ -55,6 +55,7 @@ class Alphabet:
                 raise DomainError(f"bad letter {letter!r}")
         # higher rank = higher precedence = larger in the term order
         self._rank = {c: len(self.letters) - 1 - i for i, c in enumerate(self.letters)}
+        self._neg_rank = {c: -r for c, r in self._rank.items()}.__getitem__
 
     def __contains__(self, letter: str) -> bool:
         return letter in self._rank
@@ -70,7 +71,11 @@ class Alphabet:
 
     def word_key(self, word: Word):
         """Sort key: larger key = larger word in the deglex order."""
-        return (len(word), tuple(self._rank[c] for c in word))
+        return (len(word), tuple(map(self._rank.__getitem__, word)))
+
+    def descending_key(self, word: Word):
+        """Sort key of the reverse order: the larger the word, the smaller the key."""
+        return (-len(word), tuple(map(self._neg_rank, word)))
 
     def check_word(self, word: Word) -> None:
         for letter in word:
@@ -316,7 +321,7 @@ class Basis:
             if key is None:
                 raise DomainError(f"word {format_word(word)} escaped {self.name} normalization")
             terms[key] = coeff
-        return Coords(self, terms)
+        return Coords._trusted(self, terms)
 
 
 PBW = Basis("PBW", DU, (("u",), ("d", "u"), ("d",)))
@@ -328,7 +333,8 @@ QUANTUM = Basis("quantum-basis", YX, (("x",), ("y",)))
 class Coords:
     """Immutable coordinates over a basis: a table key -> nonzero Fraction.
 
-    Values over different bases are never equal, even with equal keys.
+    Values over different bases are never equal, even with equal keys.  As
+    with `NcPoly`, the public constructor validates and ``_trusted`` does not.
     """
 
     __slots__ = ("basis", "terms")
@@ -336,6 +342,14 @@ class Coords:
     def __init__(self, basis: Basis, terms=None):
         self.basis = basis
         self.terms = collect_terms(terms, basis.arity, basis.bad_key)
+
+    @classmethod
+    def _trusted(cls, basis: Basis, table: dict[tuple[int, ...], Fraction]) -> "Coords":
+        """Wrap a fresh table of valid keys to nonzero Fractions, unchecked."""
+        coords = object.__new__(cls)
+        coords.basis = basis
+        coords.terms = table
+        return coords
 
     def to_ncpoly(self) -> NcPoly:
         words = {self.basis.word(key): coeff for key, coeff in self.terms.items()}

@@ -75,6 +75,16 @@ class OneDimModule:
         return f"({self.delta}, {self.mu})"
 
 
+def _check_stage(stage: int) -> None:
+    if stage not in STAGE_TAGS:
+        raise DomainError(f"stage must be 0..3, got {stage}")
+
+
+def _check_tag(stage: int, tag: str) -> None:
+    if tag not in STAGE_TAGS[stage]:
+        raise DomainError(f"tag {tag!r} does not belong to stage {stage}")
+
+
 class BimoduleElement:
     """Weighted sum of left (x) basis-tag (x) right triples at one stage.
 
@@ -85,12 +95,10 @@ class BimoduleElement:
     __slots__ = ("stage", "terms")
 
     def __init__(self, stage: int, terms=None):
-        if stage not in STAGE_TAGS:
-            raise DomainError(f"stage must be 0..3, got {stage}")
+        _check_stage(stage)
         clean: dict[tuple[Word, str, Word], Fraction] = {}
         for (left, tag, right), value in (terms or {}).items():
-            if tag not in STAGE_TAGS[stage]:
-                raise DomainError(f"tag {tag!r} does not belong to stage {stage}")
+            _check_tag(stage, tag)
             coeff = as_scalar(value)
             if coeff:
                 key = (tuple(left), tag, tuple(right))
@@ -106,7 +114,9 @@ class BimoduleElement:
 
         A word that is already a PBW word u^i (du)^j d^k is its own normal form;
         every other word goes through `pbw_normal_form`, once per distinct word.
+        The table is summed here, so it skips `__init__`'s checks of each key.
         """
+        _check_stage(stage)
         normal_forms: dict[Word, dict[Word, Fraction]] = {}
 
         def expand(word: Word) -> dict[Word, Fraction]:
@@ -115,12 +125,13 @@ class BimoduleElement:
                 if PBW.key(word) is None:
                     nf = pbw_normal_form(NcPoly.monomial(DU, word), params).to_ncpoly().terms
                 else:
-                    nf = {word: Fraction(1)}
+                    nf = {tuple(word): Fraction(1)}
                 normal_forms[word] = nf
             return nf
 
         terms: dict[tuple[Word, str, Word], Fraction] = {}
         for coeff, left, tag, right in parts:
+            _check_tag(stage, tag)
             coeff = as_scalar(coeff)
             if not coeff:
                 continue
@@ -128,8 +139,19 @@ class BimoduleElement:
             for lword, lc in left_nf.items():
                 for rword, rc in right_nf.items():
                     key = (lword, tag, rword)
-                    terms[key] = terms.get(key, Fraction(0)) + coeff * lc * rc
-        return cls(stage, terms)
+                    # both legs are PBW words almost always: skip the unit products
+                    value = coeff if lc == 1 and rc == 1 else coeff * lc * rc
+                    prev = terms.get(key)
+                    terms[key] = value if prev is None else prev + value
+        return cls._trusted(stage, {key: c for key, c in terms.items() if c})
+
+    @classmethod
+    def _trusted(cls, stage: int, table: dict) -> "BimoduleElement":
+        """Wrap a fresh table of (left, tag, right) keys to nonzero Fractions, unchecked."""
+        element = object.__new__(cls)
+        element.stage = stage
+        element.terms = table
+        return element
 
     @classmethod
     def generator(cls, stage: int, tag: str) -> "BimoduleElement":

@@ -98,6 +98,16 @@ def test_omega_to_pbw_of_omega_itself():
     assert omega_to_pbw(OmegaElem({}), Params(2, 0, 5)) == PBWElem({})
 
 
+def test_shifted_powers_drop_the_terms_that_cancel():
+    # du - 2ud - 5 is omega: the ud and constant terms of the shifted powers cancel
+    params = Params(2, 0, 5)
+    omega = pbw_to_omega(PBWElem({(0, 1, 0): 1, (1, 0, 1): -2, (0, 0, 0): -5}), params)
+    assert omega.terms == {(0, 1, 0): Fraction(1)}
+    assert type(omega.terms[(0, 1, 0)]) is Fraction
+    back = omega_to_pbw(OmegaElem({(0, 1, 0): 1, (1, 0, 1): 2, (0, 0, 0): 5}), params)
+    assert back.terms == {(0, 1, 0): Fraction(1)}
+
+
 ORACLE_PARAMS = (Params(1, 0, 0), Params(Fraction(-3, 2), 0, Fraction(5, 4)), Params(2, 0, 1))
 
 

@@ -214,6 +214,16 @@ def test_basis_keys_round_trip_and_bases_never_compare_equal():
     assert QElem({(1, 1): 1}) != BimodClass({(1, 1): 1})
 
 
+def test_basis_coords_refuses_a_word_that_escaped_normalization():
+    with pytest.raises(DomainError, match=r"word d\^2\*u escaped PBW normalization"):
+        PBW.coords(NcPoly(DU, {("d", "d", "u"): 1, ("u",): 1}))
+    coords = PBW.coords(NcPoly(DU, {("u", "d", "u"): Fraction(3, 2), ("d",): -1}))
+    assert coords == PBWElem({(1, 1, 0): Fraction(3, 2), (0, 0, 1): -1})
+    assert repr(coords) == (
+        "Coords(PBW, {(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1, 1)})"
+    )
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

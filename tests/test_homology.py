@@ -323,6 +323,19 @@ def test_element_rendering():
     assert str(fractional) == "3/2*u(x)d(x)d^2"
     negative = BimoduleElement(1, {((), "u", ()): Fraction(-2), (("d",), "d", ()): Fraction(1)})
     assert str(negative) == "-2*1(x)u(x)1 + d(x)d(x)1"
+    assert repr(fractional) == "BimoduleElement(1, {(('u',), 'd', ('d', 'd')): Fraction(3, 2)})"
+
+
+def test_public_constructor_sums_equal_keys_and_drops_zeros():
+    # the string legs "d" and "" name the same key as ("d",) and ()
+    cancelled = BimoduleElement(1, {("d", "u", ""): 2, (("d",), "u", ()): -2, ((), "d", ()): 0})
+    assert cancelled.terms == {} and not cancelled
+    summed = BimoduleElement(1, {("d", "u", ""): "1/2", (("d",), "u", ()): 1})
+    assert summed.terms == {(("d",), "u", ()): Fraction(3, 2)}
+    with pytest.raises(DomainError, match="tag 'd2u' does not belong to stage 1"):
+        BimoduleElement.build(1, [(1, (), "d2u", ())], Params(1, 0, 0))
+    with pytest.raises(DomainError, match="stage must be 0..3, got 4"):
+        BimoduleElement.build(4, [], Params(1, 0, 0))
 
 
 def build_normalizing_every_leg(stage, parts, params):

@@ -1,5 +1,6 @@
 """Tests for the string-rewriting engine."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from downup.algebra import Params, downup_rules, omega_rules, pbw_normal_form
 from downup.errors import DomainError
 from downup.expr import DU, DWU, YX, Alphabet, NcPoly, parse
+from downup.quotients import QuantumAlgebra, q_rules
 from downup.rewrite import RewriteRule, RuleSet, _rewrite_at, critical_pairs, reduce
 
 
@@ -265,3 +267,103 @@ def test_reduce_stores_only_nonzero_fractions_and_respects_products(a, b, alpha,
     for rule in rules.rules:
         relation = NcPoly.monomial(DU, rule.lhs) - rule.rhs
         assert reduce(a * relation * b, rules).terms == {}
+
+
+# -- integer reduce against the Fraction reference ------------------------------
+
+
+def fraction_reduce(p, rs):
+    """`reduce` with one Fraction operation per term touched: the reference for
+    the integer version, which must follow the same heap order and rewrites."""
+    def neg_key(word):
+        length, ranks = rs.alphabet.word_key(word)
+        return (-length, tuple(-r for r in ranks))
+
+    result = {}
+    work = dict(p.terms)
+    heap = [(neg_key(w), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        _, word = heapq.heappop(heap)
+        coeff = work.pop(word, None)
+        if coeff is None:
+            continue
+        redex = rs.find_redex(word)
+        if redex is None:
+            result[word] = coeff
+            continue
+        pos, rule = redex
+        for w2, c2 in _rewrite_at(word, pos, rule).terms.items():
+            prev = work.get(w2)
+            if prev is None:
+                work[w2] = coeff * c2
+                heapq.heappush(heap, (neg_key(w2), w2))
+            else:
+                total = prev + coeff * c2
+                if total:
+                    work[w2] = total
+                else:
+                    del work[w2]
+    return NcPoly._trusted(rs.alphabet, result)
+
+
+class CountingRules(RuleSet):
+    """The same rules, counting `find_redex` calls."""
+
+    def __init__(self, rs):
+        super().__init__(rs.alphabet, rs.rules)
+        self.calls = 0
+
+    def find_redex(self, word):
+        self.calls += 1
+        return super().find_redex(word)
+
+
+def assert_same_reduction(p, rs):
+    fast, slow = CountingRules(rs), CountingRules(rs)
+    out = reduce(p, fast)
+    assert out.terms == fraction_reduce(p, slow).terms
+    assert fast.calls == slow.calls
+    for coeff in out.terms.values():
+        assert type(coeff) is Fraction and coeff != 0
+    return out
+
+
+# denominators 1-7, negative and zero values included
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+NONZERO = RATIONALS.filter(bool)
+
+RULE_SETS = st.one_of(
+    st.builds(lambda a, b, g: downup_rules(Params(a, b, g)), RATIONALS, RATIONALS, RATIONALS),
+    st.builds(lambda a, g: omega_rules(Params(a, 0, g)), RATIONALS, RATIONALS),
+    st.builds(lambda q: q_rules(QuantumAlgebra(q, 0)), NONZERO),
+    st.builds(lambda q: q_rules(QuantumAlgebra(q, 1)), NONZERO),
+)
+
+
+@st.composite
+def rules_and_input(draw):
+    rs = draw(RULE_SETS)
+    word = st.lists(st.sampled_from(rs.alphabet.letters), max_size=10).map(tuple)
+    terms = draw(st.dictionaries(word, NONZERO, min_size=1, max_size=8))
+    return rs, NcPoly(rs.alphabet, terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(rules_and_input())
+def test_integer_reduce_matches_the_fraction_reference(case):
+    rs, p = case
+    assert_same_reduction(p, rs)
+
+
+def test_a_word_reached_at_two_levels_cancels():
+    # (ddu - rhs) * 2/3 at D = 6 and E = 9: ddu rewrites to rhs one level up, where it
+    # meets the -rhs terms of level 0 and every term cancels
+    rs = downup_rules(Params(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)))
+    assert rs._denominator == 6
+    rule = rs._rules_desc[0]
+    relation = (NcPoly.monomial(DU, rule.lhs) - rule.rhs).scaled(Fraction(2, 3))
+    assert not assert_same_reduction(relation, rs)
+    # the same after a left factor u, beside a normal word that survives
+    shifted = NcPoly.monomial(DU, ("u",)) * relation + NcPoly(DU, {("u", "d"): Fraction(1, 9)})
+    assert assert_same_reduction(shifted, rs) == NcPoly(DU, {("u", "d"): Fraction(1, 9)})
