@@ -127,15 +127,14 @@ def omega_coords(p: NcPoly, params: Params) -> Coords:
     return OMEGA_BASIS.coords(reduce(p, omega_rules(params)))
 
 
-def _next_omega_power(prev: NcPoly | None, params: Params) -> NcPoly:
-    """nf(omega^(j+1)) in PBW form from prev = nf(omega^j); 1 when prev is None."""
-    if prev is None:
-        return NcPoly.one(DU)
-    return reduce(prev * omega_poly(params), downup_rules(params))
+def _next_omega_power(prev: dict, params: Params) -> dict:
+    """PBW coordinates of omega^(j+1) from those of omega^j."""
+    product = Coords._trusted(PBW, prev).to_ncpoly() * omega_poly(params)
+    return PBW.coords(reduce(product, downup_rules(params))).terms
 
 
-def _next_du_power(prev: dict | None, params: Params) -> dict:
-    """Omega-basis coordinates of (du)^(j+1) from those of (du)^j; 1 when prev is None.
+def _next_du_power(prev: dict, params: Params) -> dict:
+    """Omega-basis coordinates of (du)^(j+1) from those of (du)^j.
 
     From du = omega + alpha*ud + gamma and d*omega = 0, induction on n gives
 
@@ -146,8 +145,6 @@ def _next_du_power(prev: dict | None, params: Params) -> dict:
     Rewriting with `omega_rules` gives the same result but costs n rewrites
     of a word of length up to 2j per term of nf((du)^j).
     """
-    if prev is None:
-        return {(0, 0, 0): Fraction(1)}
     top = max((c for _, _, c in prev), default=0) + 1
     powers = [Fraction(1)]  # alpha^n
     brackets = [Fraction(0)]  # gamma*[n]
@@ -165,41 +162,36 @@ def _next_du_power(prev: dict | None, params: Params) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _power(params: Params, next_power, j: int):
-    prev = _power(params, next_power, j - 1) if j else None
-    return next_power(prev, params)
+def _power_table(params: Params, step) -> list[dict]:
+    """Coordinates of base^0, base^1, ... so far; `_power_nf` appends to it."""
+    return [{(0, 0, 0): Fraction(1)}]
 
 
-def _power_nf(params: Params, next_power, j: int):
-    """Normal form of base^j, built by `next_power` one factor at a time.
+def _power_nf(params: Params, step, j: int) -> dict:
+    """Coordinates of nf(base^j), built by `step` one factor at a time.
 
     By the diamond lemma the order of reductions does not matter, so
     normalising after every factor gives the normal form of the full product
-    while each step multiplies only the terms of nf(base^(j-1)).  Results are
-    memoised per (params, next_power, j) in a bounded cache and shared: never
-    mutate one.
+    while each step multiplies only the terms of nf(base^(j-1)).  The powers
+    are kept in one growing table per (params, step) in a bounded cache, and
+    its entries are shared: never mutate one.  Growing a table is not
+    thread-safe; the package runs on one thread.
     """
-    _require_beta_zero(params)
-    # every 64th power first, so that a cold call never recurses deeper than 64
-    for k in range(64, j, 64):
-        _power(params, next_power, k)
-    return _power(params, next_power, j)
+    table = _power_table(params, step)
+    while len(table) <= j:
+        table.append(step(table[-1], params))
+    return table[j]
 
 
-def omega_power_nf(params: Params, j: int) -> NcPoly:
-    """PBW normal form of omega^j, memoised as in `_power_nf`."""
-    return _power_nf(params, _next_omega_power, j)
-
-
-def _shifted_powers(basis, terms, power_coords) -> Coords:
+def _shifted_powers(basis, terms, params: Params, step) -> Coords:
     """Sum of coeff * u^i base^j d^k over the (i, j, k) terms, as coordinates.
 
-    power_coords(j) yields the coordinates of nf(base^j); u^i on the left and
-    d^k on the right keep a normal word normal, so they shift by (i, 0, k).
+    u^i on the left and d^k on the right keep a normal word normal, so the
+    coordinates of nf(base^j) shift by (i, 0, k).
     """
     out: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, k), coeff in terms.items():
-        for (a, b, l), c in power_coords(j):
+        for (a, b, l), c in _power_nf(params, step, j).items():
             key = (a + i, b, l + k)
             out[key] = out.get(key, 0) + coeff * c
     return Coords._trusted(basis, {key: c for key, c in out.items() if c})
@@ -211,20 +203,16 @@ def pbw_to_omega(p: Coords, params: Params) -> Coords:
     Each term shifts the memoised omega-basis coordinates of (du)^j.
     """
     _require_beta_zero(params)
-    return _shifted_powers(
-        OMEGA_BASIS, p.terms, lambda j: _power_nf(params, _next_du_power, j).items()
-    )
+    return _shifted_powers(OMEGA_BASIS, p.terms, params, _next_du_power)
 
 
 def omega_to_pbw(q: Coords, params: Params) -> Coords:
     """Substitute omega = du - alpha*ud - gamma and reduce to PBW form.
 
-    Each term shifts the PBW coordinates of the memoised nf(omega^j).
+    Each term shifts the memoised PBW coordinates of nf(omega^j).
     """
     _require_beta_zero(params)
-    return _shifted_powers(PBW, q.terms, lambda j: (
-        (PBW.key(word), c) for word, c in omega_power_nf(params, j).terms.items()
-    ))
+    return _shifted_powers(PBW, q.terms, params, _next_omega_power)
 
 
 def ideal_power_membership(p: NcPoly, n: int, params: Params) -> bool:

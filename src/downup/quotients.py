@@ -124,7 +124,18 @@ def _divides(lhs: Monomial, mon: Monomial) -> bool:
 
 def orient_relations(relations) -> list[tuple[Monomial, CPoly]]:
     """Monic rewrite rules lhs -> rhs from relation polynomials (lhs = leading monomial)."""
-    return _orient_cleaned(map(c_clean, relations))
+    rules: list[tuple[Monomial, CPoly]] = []
+    seen: set[Monomial] = set()
+    for rel in map(c_clean, relations):
+        if not rel:
+            raise DomainError("zero relation cannot be oriented")
+        lead = max(rel, key=c_key)
+        if lead in seen:
+            raise DomainError("two relations share a leading monomial")
+        seen.add(lead)
+        scale = -rel[lead]
+        rules.append((lead, {m: c / scale for m, c in rel.items() if m != lead}))
+    return rules
 
 
 def _clean_relations(relations, nvars: int) -> list[CPoly]:
@@ -135,22 +146,6 @@ def _clean_relations(relations, nvars: int) -> list[CPoly]:
     if any(len(mon) != nvars for rel in cleaned for mon in rel):
         raise DomainError("relation arity does not match the variables")
     return cleaned
-
-
-def _orient_cleaned(relations) -> list[tuple[Monomial, CPoly]]:
-    """`orient_relations` for relations that `c_clean` has already cleaned."""
-    rules: list[tuple[Monomial, CPoly]] = []
-    seen: set[Monomial] = set()
-    for rel in relations:
-        if not rel:
-            raise DomainError("zero relation cannot be oriented")
-        lead = max(rel, key=c_key)
-        if lead in seen:
-            raise DomainError("two relations share a leading monomial")
-        seen.add(lead)
-        scale = -rel[lead]
-        rules.append((lead, {m: c / scale for m, c in rel.items() if m != lead}))
-    return rules
 
 
 def _step(mon: Monomial, rule) -> CPoly:
@@ -243,10 +238,8 @@ class Summand:
         """
         variables = tuple(variables)
         cleaned = _clean_relations(relations, len(variables))
-        rules = _orient_cleaned(cleaned)
+        rules = orient_relations(cleaned)
         for first, second in itertools.combinations(rules, 2):
-            if not (first[1] or second[1]):
-                continue  # two monomials: the S-polynomial is 0
             s_poly = _s_polynomial(first, second)
             if s_poly and reduce_commutative(s_poly, rules):
                 raise DomainError("relations are not a Groebner basis")

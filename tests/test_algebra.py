@@ -10,7 +10,10 @@ from downup.algebra import (
     OmegaElem,
     Params,
     PBWElem,
-    _power,
+    _next_du_power,
+    _next_omega_power,
+    _power_nf,
+    _power_table,
     bimod_action_formula,
     bimod_class,
     downup_rules,
@@ -18,7 +21,6 @@ from downup.algebra import (
     ideal_power_membership,
     omega_coords,
     omega_poly,
-    omega_power_nf,
     omega_rules,
     omega_to_pbw,
     pbw_normal_form,
@@ -135,16 +137,16 @@ def test_omega_to_pbw_matches_the_full_expansion():
 
 def test_cached_omega_powers_are_never_mutated():
     params = Params(Fraction(-1, 2), 0, 3)
-    cached = omega_power_nf(params, 5)
-    snapshot = dict(cached.terms)
+    cached = _power_nf(params, _next_omega_power, 5)
+    snapshot = dict(cached)
     element = OmegaElem({(0, 5, 0): 1, (2, 5, 1): Fraction(-7, 3), (1, 6, 0): 2})
     first = omega_to_pbw(element, params)
     for _ in range(3):
         assert omega_to_pbw(element, params) == first
         assert pbw_to_omega(first, params) == element
-    assert omega_power_nf(params, 5) is cached
-    assert cached.terms == snapshot
-    assert len(cached.terms) == 5 + 2
+    assert _power_nf(params, _next_omega_power, 5) is cached
+    assert cached == snapshot
+    assert len(cached) == 5 + 2
 
 
 def test_a_large_omega_power_has_linearly_many_terms():
@@ -153,7 +155,8 @@ def test_a_large_omega_power_has_linearly_many_terms():
     top = omega_to_pbw(OmegaElem({(0, 40, 0): 1}), params)
     assert len(top.terms) == 42
     # associativity from the other side: omega * nf(omega^39)
-    assert pbw_normal_form(omega_poly(params) * omega_power_nf(params, 39), params) == top
+    below = omega_to_pbw(OmegaElem({(0, 39, 0): 1}), params).to_ncpoly()
+    assert pbw_normal_form(omega_poly(params) * below, params) == top
 
 
 def test_pbw_to_omega_matches_the_word_reduction():
@@ -177,12 +180,14 @@ def test_a_large_du_power_in_the_omega_basis():
     assert omega_to_pbw(coords, params) == element
 
 
-def test_a_cold_du_power_past_64_warms_every_64th_power_first():
-    # the one call in the suite that reaches the every-64th-power loop of `_power_nf`
-    _power.cache_clear()
-    coords = pbw_to_omega(PBWElem({(0, 65, 0): 1}), Params(2, 0, 1))
+def test_a_cold_du_power_past_64_grows_its_table_in_one_loop():
+    # from a cold cache, one call fills the (du)^j table up to j = 65
+    _power_table.cache_clear()
+    params = Params(2, 0, 1)
+    coords = pbw_to_omega(PBWElem({(0, 65, 0): 1}), params)
     assert coords.terms[(0, 65, 0)] == 1
     assert len(coords.terms) == 66 * 67 // 2 == 2211
+    assert len(_power_table(params, _next_du_power)) == 66
 
 
 def test_rule_caches_are_bounded():
@@ -209,7 +214,7 @@ def test_omega_machinery_requires_beta_zero():
     with pytest.raises(DomainError):
         omega_to_pbw(OmegaElem({(0, 1, 0): 1}), bad)
     with pytest.raises(DomainError):
-        omega_power_nf(bad, 2)
+        omega_to_pbw(OmegaElem({}), bad)
     with pytest.raises(DomainError):
         ideal_power_membership(parse("d*u", DU), 1, bad)
     with pytest.raises(DomainError):

@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +278,19 @@ def test_console_script_is_installed():
         ["downup", "classify", "type", "--params", "0,0,0"],
         capture_output=True,
         text=True,
+    )
+    assert completed.returncode == 0
+    assert completed.stdout == "b\n"
+
+
+def test_the_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-m", "downup.cli", "classify", "type", "--params", "0,0,0"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert completed.returncode == 0
     assert completed.stdout == "b\n"

@@ -196,6 +196,16 @@ def test_public_constructor_still_validates():
     assert_canonical(p, DU)
 
 
+def test_alphabets_hash_by_letters_and_polynomials_add_only_polynomials():
+    assert hash(Alphabet(("d", "u"))) == hash(DU)
+    assert len({DU, Alphabet(("d", "u")), DWU}) == 2
+    assert repr(D - U * U) == "NcPoly(-u^2 + d)"
+    with pytest.raises(TypeError):
+        D + 1
+    with pytest.raises(TypeError):
+        D - 1
+
+
 def test_basis_keys_round_trip_and_bases_never_compare_equal():
     non_normal = (
         (PBW, [("d", "u", "u"), ("d", "d", "u"), ("u", "d", "u", "u")]),
@@ -246,6 +256,10 @@ def test_basis_coords_refuses_a_word_that_escaped_normalization():
                      "duplicate letters in alphabet ('d', 'd')", id="duplicate-letter"),
         pytest.param(lambda: D ** -1, DomainError,
                      "exponent must be a nonnegative integer, got -1", id="negative-power"),
+        pytest.param(lambda: Alphabet(("d", "u v")), DomainError,
+                     "bad letter 'u v'", id="bad-letter"),
+        pytest.param(lambda: PBWElem({(1, 2): 1}), DomainError,
+                     "PBW index (1, 2) must be 3 nonnegative integers", id="bad-key"),
     ],
 )
 def test_rejections_name_their_cause(call, error, message):

@@ -333,7 +333,6 @@ def test_counts_read_the_rules_that_poly_oriented(monkeypatch):
         raise AssertionError("relations oriented again after Summand.poly")
 
     monkeypatch.setattr("downup.quotients.orient_relations", no_orientation)
-    monkeypatch.setattr("downup.quotients._orient_cleaned", no_orientation)
     filtered = [1, 3, 6, 8, 10, 12, 14]
     graded = [1, 2, 3, 2, 2, 2, 2]
     cubic_monomials = ([filtered], [graded])
@@ -421,6 +420,8 @@ MONOMIAL = Summand.poly(("d", "u"), [{(1, 1): 1}])
                      "degree and slack must be nonnegative", id="span-negative-slack"),
         pytest.param(lambda: Summand.poly(("d", "u"), [{(1, 1): 0}]),
                      "relation polynomial must be nonzero", id="summand-zero-relation"),
+        pytest.param(lambda: orient_relations([{(2, 0): 1}, {(1, 0): 0}]),
+                     "zero relation cannot be oriented", id="orient-zero-relation"),
         pytest.param(lambda: summand_filtered_dim(MONOMIAL, -1),
                      "degree bound must be nonnegative", id="filtered-negative-degree"),
         pytest.param(lambda: summand_graded_dim(MONOMIAL, -1),
